@@ -84,7 +84,9 @@ class _Collector:
         return False
 
     def verdict(self, axiom: str) -> AxiomVerdict:
-        return AxiomVerdict(axiom, not self.items, tuple(self.items), self.truncated)
+        # a violation cut off by the cap still refutes the axiom
+        holds = not (self.items or self.truncated)
+        return AxiomVerdict(axiom, holds, tuple(self.items), self.truncated)
 
 
 def check_exp(cf: ChoiceFunction, cap: int = DEFAULT_VIOLATION_CAP) -> AxiomVerdict:

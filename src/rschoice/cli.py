@@ -98,6 +98,8 @@ def _parse_range(spec: str) -> list[float]:
 
 
 def cmd_check_axioms(config: RunConfig) -> int:
+    if config.violation_cap < 0:
+        raise InvalidRangeError(f"--cap must be nonnegative, got {config.violation_cap}")
     cf = _load_choice(config)
     verdicts = check_all(cf, cap=config.violation_cap)
     _emit(json.dumps([v.to_dict() for v in verdicts], indent=2) + "\n", config.out_path)

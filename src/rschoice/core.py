@@ -170,13 +170,7 @@ class LinearOrder:
 
     def prefers(self, a: str, b: str) -> bool:
         """Strictly prefers ``a`` over ``b``."""
-        r = self.ranks()
-        return r[self.ground.index[a]] < r[self.ground.index[b]]
-
-    def best_of(self, mask: int) -> int:
-        """Ground position of the best member of a menu mask."""
-        r = self.ranks()
-        return min(iter_bits(mask), key=lambda i: r[i])
+        return self.ranking.index(a) < self.ranking.index(b)
 
 
 @dataclass(frozen=True)

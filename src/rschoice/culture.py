@@ -12,7 +12,9 @@ The interior first-order effort is ``((1 - q) / beta * V(g) / g) ** (1 /
 (beta - 1))``, capped by the budget corner ``(1 / g) ** (1 / beta)``.
 Population shares follow the replicator-style flow
 ``dq = q (1 - q) (d_minority - d_majority)`` whose interior rest point is
-``q* = (V(g)/g) / (V(1) + V(g)/g)``.
+``q* = (V(g)/g) / (V(1) + V(g)/g)``.  ``culture_rsc_consistency`` checks
+that the two-order structure, evaluated by the shared kernel
+``structure.two_stage_choice``, reproduces direct maximization.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 
 from .core import ChoiceModelError
 from .media import InvalidParamsError
+from .structure import two_stage_choice
 
 
 class NotInteriorAtGhatError(ChoiceModelError):
@@ -300,9 +303,10 @@ def culture_rsc_consistency(
     ``(1 - t) / d**beta`` stays weakly below the threshold, and inflates by
     the transmission value at the implied policy beyond it.
 
-    Two-stage choice per policy: welfare-best feasible point of each type,
-    then reaction-best among those.  Deviations are sup-norm distances in
-    the allocation square between the selections.
+    Two-stage choice per policy runs in ``structure.two_stage_choice``:
+    welfare-best feasible point of each type, then reaction-best among
+    those, the smallest effort winning ties in both stages.  Deviations are
+    sup-norm distances in the allocation square between the selections.
 
     ``g_values`` defaults to 10 evenly spaced policies from 1 to twice the
     corner-crossing policy.
@@ -345,18 +349,14 @@ def culture_rsc_consistency(
 
     def two_stage_argmax(g: float) -> int:
         feasible, t = frontier(g)
-        candidates: list[int] = []
-        residual = [j for j in range(grid_n) if feasible[j] and j not in reacting]
-        if residual:
-            welfare = [t[j] + prob[j] * vhat for j in residual]
-            candidates.append(residual[int(np.argmax(welfare))])
-        candidates.extend(j for j in reacting if feasible[j])
-        best_j, best_v = -1, -np.inf
-        for j in sorted(candidates):
-            v = reaction_value(t[j], j) if j in reacting else t[j] + prob[j] * vhat
-            if v > best_v:
-                best_j, best_v = j, v
-        return best_j
+        welfare = (t + prob * vhat).tolist()
+        keys = [(w, -j) for j, w in enumerate(welfare)]
+        for j in reacting:
+            if feasible[j]:
+                keys[j] = (reaction_value(t[j], j), -j)
+        residual = sorted(set(range(grid_n)) - set(reacting), key=lambda j: (-welfare[j], j))
+        menu = sum(1 << j for j in np.flatnonzero(feasible).tolist())
+        return two_stage_choice([residual] + [[j] for j in reacting], keys, menu)[0]
 
     cell = 1.0 / (grid_n - 1)
     rows = []

@@ -8,7 +8,8 @@ with precision ``lambda``; the extreme versions replace ``lambda`` with
 source always dominates its extreme sibling on informativeness, so the
 extreme one is only considered when the moderate one is missing - and in
 that case the reactance-adjusted payoffs (mistakes in the own-bias state
-cost nothing) govern the second stage.
+cost nothing) govern the second stage.  Both stages are the shared kernel
+``structure.two_stage_choice`` over the four sources.
 
 The crossing prior at which the extreme opposite source overtakes the
 moderate own-biased one in the reduced menu has the closed form
@@ -21,6 +22,7 @@ import json
 from dataclasses import dataclass, field
 
 from .core import ChoiceModelError
+from .structure import two_stage_choice
 
 
 class InvalidParamsError(ChoiceModelError):
@@ -34,11 +36,10 @@ EXTREME_ACTION_CUTOFF = 1.0 / 3.0
 
 SOURCES = ("sigmaLL", "sigmaL", "sigmaR", "sigmaRR")
 MODERATE = {"sigmaL", "sigmaR"}
-L_TYPE = ("sigmaLL", "sigmaL")
-R_TYPE = ("sigmaR", "sigmaRR")
-
-MENU_M = ("sigmaLL", "sigmaL", "sigmaR", "sigmaRR")
-MENU_N = ("sigmaLL", "sigmaL", "sigmaRR")
+#: Bias types as positions in ``SOURCES``, most informative source first.
+TYPE_CHAINS = ((1, 0), (2, 3))
+#: Menus as bitmasks over ``SOURCES``; N lacks the moderate R source.
+MENUS = {"M": 0b1111, "N": 0b1011}
 
 
 @dataclass(frozen=True)
@@ -181,29 +182,18 @@ def media_menu_choice(
     """Two-stage source choice from menu ``M`` (all four) or ``N`` (no
     moderate R source).
 
-    Stage one keeps the most informative available source of each bias
-    type.  Stage two compares expected values: moderate sources always by
-    the welfare payoffs, extreme sources by the reactance payoffs unless
+    Both stages run in ``structure.two_stage_choice``.  Stage one keeps the
+    most informative available source of each bias type.  Stage two
+    compares expected values: moderate sources always by the welfare
+    payoffs, extreme sources by the reactance payoffs unless
     ``no_reactance``.  Ties go to the later source in reading order
     (sigmaLL, sigmaL, sigmaR, sigmaRR), so at the exact crossing prior the
     extreme R source is reported chosen.
     """
-    if menu == "M":
-        available = MENU_M
-    elif menu == "N":
-        available = MENU_N
-    else:
+    if menu not in MENUS:
         raise InvalidParamsError(f"menu must be 'M' or 'N', got {menu!r}")
     sources = signal_sources(params)
     pay = params.payoffs
-
-    consideration: list[str] = []
-    for bias_type in (L_TYPE, R_TYPE):
-        present = [s for s in bias_type if s in available]
-        if not present:
-            continue
-        moderate = [s for s in present if s in MODERATE]
-        consideration.append(moderate[0] if moderate else present[0])
 
     values_u = {s: expected_value(sources[s], params.p, pay, reactance=False) for s in SOURCES}
     values_v = {
@@ -214,10 +204,10 @@ def media_menu_choice(
     }
     stage2 = values_u if no_reactance else values_v
 
-    chosen = consideration[0]
-    for s in consideration[1:]:
-        if stage2[s] >= stage2[chosen]:
-            chosen = s
+    keys = [(stage2[s], i) for i, s in enumerate(SOURCES)]
+    best, considered = two_stage_choice(TYPE_CHAINS, keys, MENUS[menu])
+    chosen = SOURCES[best]
+    consideration = tuple(s for i, s in enumerate(SOURCES) if (considered >> i) & 1)
 
     src = sources[chosen]
     reactance_applies = (chosen not in MODERATE) and not no_reactance
@@ -233,6 +223,6 @@ def media_menu_choice(
         posterior_by_signal=posterior_by_signal,
         action_by_signal=action_by_signal,
         expected_payoffs={s: (values_u[s], values_v[s]) for s in SOURCES},
-        consideration=tuple(consideration),
+        consideration=consideration,
         menu=menu,
     )

@@ -411,10 +411,9 @@ def _submasks(mask: int) -> list[int]:
 
 def freedom_table_csv(model: FreedomModel) -> str:
     """CSV of n(A) for every menu, ascending bit pattern."""
-    lines = ["menu,n"]
     ground = model.ground
-    sats = model.satisfied_masks()
-    for mask in range(1, ground.full_mask + 1):
-        n = sum(1 for f in sats if f & mask)
-        lines.append(f"{ground.menu_key(mask)},{n}")
+    scores = freedom_ranking(model).scores
+    lines = ["menu,n"] + [
+        f"{ground.menu_key(mask)},{scores[mask]}" for mask in range(1, ground.full_mask + 1)
+    ]
     return "\n".join(lines) + "\n"

@@ -3,7 +3,10 @@
 An ``RSStructure`` is a partition of the options into types plus two linear
 orders: a welfare order and a reaction order.  Choice from a menu is
 two-stage: keep the welfare-best available option of each type (the
-consideration set), then pick the reaction-best of those.
+consideration set), then pick the reaction-best of those.  That rule is
+implemented once, in ``two_stage_choice``; ``evaluate`` and
+``consideration_set`` here, ``media.media_menu_choice`` and
+``culture.culture_rsc_consistency`` all call it.
 
 ``synthesize_rs`` inverts the model: given a choice function satisfying
 Expansion, NRS and IR it constructs a rationalizing structure whose types
@@ -113,39 +116,44 @@ class SynthesisTrace:
 # ---------------------------------------------------------------------------
 
 
+def two_stage_choice(chains, reaction_key, menu: int) -> tuple[int, int]:
+    """Two-stage choice from a menu bitmask: ``(chosen, consideration_mask)``.
+
+    Each chain lists one type's members welfare-best first.  Stage one keeps
+    the first member of each chain present in ``menu``; stage two returns
+    the kept member with the largest ``reaction_key[member]``, ties going to
+    the earlier chain.  ``chosen`` is -1 when no chain meets the menu.
+    """
+    chosen, considered = -1, 0
+    for chain in chains:
+        for member in chain:
+            if (menu >> member) & 1:
+                considered |= 1 << member
+                if chosen < 0 or reaction_key[member] > reaction_key[chosen]:
+                    chosen = member
+                break
+    return chosen, considered
+
+
+def _kernel_inputs(s: RSStructure) -> tuple[list[list[int]], list[int]]:
+    """Type chains (welfare-best first) and reaction keys for ``two_stage_choice``."""
+    r1, index = s.welfare.ranks(), s.ground.index
+    chains = [sorted((index[x] for x in block), key=r1.__getitem__) for block in s.types.blocks]
+    return chains, [-r for r in s.reaction_pref.ranks()]
+
+
 def consideration_set(s: RSStructure, menu_mask: int) -> int:
     """Mask of the welfare-best available option of each type."""
-    r1 = s.welfare.ranks()
-    out = 0
-    for tmask in s.types.block_masks():
-        inter = tmask & menu_mask
-        if inter:
-            out |= 1 << min(iter_bits(inter), key=r1.__getitem__)
-    return out
+    return two_stage_choice(*_kernel_inputs(s), menu_mask)[1]
 
 
 def evaluate(s: RSStructure) -> ChoiceFunction:
     """Total choice function generated by the structure."""
-    ground = s.ground
-    r1 = s.welfare.ranks()
-    r2 = s.reaction_pref.ranks()
-    type_orders = [
-        sorted((ground.index[name] for name in block), key=r1.__getitem__)
-        for block in s.types.blocks
+    chains, keys = _kernel_inputs(s)
+    table = [-1] + [
+        two_stage_choice(chains, keys, mask)[0] for mask in range(1, s.ground.full_mask + 1)
     ]
-    table = [-1] * (1 << ground.size)
-    for mask in range(1, ground.full_mask + 1):
-        best = -1
-        best_rank = ground.size
-        for order in type_orders:
-            for member in order:
-                if (mask >> member) & 1:
-                    if r2[member] < best_rank:
-                        best_rank = r2[member]
-                        best = member
-                    break
-        table[mask] = best
-    return ChoiceFunction(ground, tuple(table))
+    return ChoiceFunction(s.ground, tuple(table))
 
 
 def reaction_characterization(s: RSStructure) -> BinaryRelation:
@@ -460,13 +468,11 @@ def certify_single_peaked(s: RSStructure) -> SinglePeakedCertificate:
     one; only existence is required for verification.
     """
     ground = s.ground
-    r1 = s.welfare.ranks()
     r2 = s.reaction_pref.ranks()
     thresholds: dict[tuple[str, ...], str] = {}
     peaks: dict[tuple[str, ...], str] = {}
     violations: list[tuple[tuple[str, ...], tuple[str, str, str]]] = []
-    for block in s.types.blocks:
-        chain = sorted((ground.index[name] for name in block), key=r1.__getitem__)
+    for block, chain in zip(s.types.blocks, _kernel_inputs(s)[0]):
         found = False
         for split in range(len(chain) - 1, -1, -1):
             if not _upper_agrees(chain, r2, split):

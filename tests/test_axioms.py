@@ -177,6 +177,10 @@ def test_violation_cap_and_determinism(rng):
         assert capped.violations == full.violations[:3]
     again = check_iia(cf, cap=10_000)
     assert again.violations == full.violations
+    silent = check_iia(cf, cap=0)
+    assert silent.holds == full.holds
+    assert silent.violations == ()
+    assert silent.truncated == bool(full.violations)
 
 
 def test_shortlist_choices_match_stated_values():

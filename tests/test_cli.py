@@ -41,6 +41,17 @@ def test_check_axioms_exit_codes(capsys, detergent_file, tsm1_file):
     assert verdicts["NRS"] is False
 
 
+def test_check_axioms_cap_zero_still_fails_and_negative_cap_is_rejected(capsys, tsm1_file):
+    code, out, _ = run(capsys, "check-axioms", tsm1_file, "--cap", "0")
+    nrs = next(v for v in json.loads(out) if v["axiom"] == "NRS")
+    assert code == 1
+    assert nrs == {"axiom": "NRS", "holds": False, "violations": [], "truncated": True}
+    code, out, err = run(capsys, "check-axioms", tsm1_file, "--cap", "-1")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "invalid-range"
+
+
 def test_synthesize_detergent(capsys, detergent_file):
     code, out, _ = run(capsys, "synthesize", detergent_file)
     assert code == 0

@@ -50,6 +50,27 @@ def test_consideration_set_one_per_intersected_type(rng):
             assert bin(picked).count("1") == expected
 
 
+def test_evaluate_and_consideration_set_match_the_definition(rng):
+    multi_type = 0
+    for _ in range(60):
+        s = random_structure(rng, ground_of_size(rng.randint(2, 7)))
+        ground = s.ground
+        welfare_rank = {name: k for k, name in enumerate(s.welfare.ranking)}
+        reaction_rank = {name: k for k, name in enumerate(s.reaction_pref.ranking)}
+        multi_type += len(s.types.blocks) > 1
+        choices = evaluate(s).choices
+        for menu in range(1, ground.full_mask + 1):
+            offered = set(ground.members(menu))
+            kept = [
+                min(offered & set(block), key=welfare_rank.__getitem__)
+                for block in s.types.blocks
+                if offered & set(block)
+            ]
+            assert consideration_set(s, menu) == ground.mask_of(kept)
+            assert ground.options[choices[menu]] == min(kept, key=reaction_rank.__getitem__)
+    assert multi_type > 30
+
+
 def test_evaluate_worked_example():
     s = worked_structure()
     cf = evaluate(s)
