@@ -11,7 +11,7 @@ Four behavioral axioms are decided with explicit violation witnesses:
   as better same-class options disappear, up to a peak.
 
 IIA is also available as plumbing.  Every verdict lists violations in a
-deterministic smallest-index-first order, capped (default 16).
+deterministic smallest-index-first order, capped at ``DEFAULT_VIOLATION_CAP``.
 A transitive-shortlist evaluator (two-rationale sequential maximization)
 generates the counterexample fixtures showing shortlist choice escapes
 NRS and SPR.
@@ -20,6 +20,8 @@ NRS and SPR.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import Iterator
 
 from .core import ChoiceFunction, ChoiceModelError, GroundSet, TypePartition, iter_bits
 from .revealed import BinaryRelation, RevealedReport
@@ -69,24 +71,14 @@ class AxiomVerdict:
         }
 
 
-class _Collector:
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.items: list[tuple] = []
-        self.truncated = False
-
-    def add(self, item: tuple) -> bool:
-        """Record a witness; returns False once the cap is reached."""
-        if len(self.items) < self.cap:
-            self.items.append(item)
-            return True
-        self.truncated = True
-        return False
-
-    def verdict(self, axiom: str) -> AxiomVerdict:
-        # a violation cut off by the cap still refutes the axiom
-        holds = not (self.items or self.truncated)
-        return AxiomVerdict(axiom, holds, tuple(self.items), self.truncated)
+def _verdict(axiom: str, witnesses: Iterator[tuple], cap: int) -> AxiomVerdict:
+    """Verdict from a witness stream: the first ``cap`` witnesses, and
+    ``truncated`` when one more exists.  A witness past the cap still
+    refutes the axiom."""
+    if cap < 0:
+        raise ValueError(f"violation cap must be nonnegative, got {cap}")
+    items = list(islice(witnesses, cap + 1))
+    return AxiomVerdict(axiom, not items, tuple(items[:cap]), len(items) > cap)
 
 
 def check_exp(cf: ChoiceFunction, cap: int = DEFAULT_VIOLATION_CAP) -> AxiomVerdict:
@@ -95,12 +87,15 @@ def check_exp(cf: ChoiceFunction, cap: int = DEFAULT_VIOLATION_CAP) -> AxiomVerd
     Only menu pairs sharing a chosen element are scanned (indexed by chosen
     option); pairs whose union equals one of them hold trivially.
     """
+    return _verdict("Exp", _exp_witnesses(cf), cap)
+
+
+def _exp_witnesses(cf: ChoiceFunction) -> Iterator[tuple]:
     ground = cf.ground
     choices = cf.choices
     by_chosen: list[list[int]] = [[] for _ in range(ground.size)]
     for mask in range(1, ground.full_mask + 1):
         by_chosen[choices[mask]].append(mask)
-    out = _Collector(cap)
     for x, menus in enumerate(by_chosen):
         for ai in range(len(menus)):
             a = menus[ai]
@@ -111,27 +106,25 @@ def check_exp(cf: ChoiceFunction, cap: int = DEFAULT_VIOLATION_CAP) -> AxiomVerd
                     continue
                 got = choices[union]
                 if got != x:
-                    keep = out.add(
-                        (
-                            ground.menu_key(a),
-                            ground.menu_key(b),
-                            ground.options[x],
-                            ground.options[got],
-                        )
+                    yield (
+                        ground.menu_key(a),
+                        ground.menu_key(b),
+                        ground.options[x],
+                        ground.options[got],
                     )
-                    if not keep:
-                        return out.verdict("Exp")
-    return out.verdict("Exp")
 
 
 def check_nrs(
     cf: ChoiceFunction, classes: TypePartition, cap: int = DEFAULT_VIOLATION_CAP
 ) -> AxiomVerdict:
     """NRS: within one similarity class, pairwise choice is transitive."""
+    return _verdict("NRS", _nrs_witnesses(cf, classes), cap)
+
+
+def _nrs_witnesses(cf: ChoiceFunction, classes: TypePartition) -> Iterator[tuple]:
     ground = cf.ground
     choices = cf.choices
     idx = ground.index
-    out = _Collector(cap)
     for block in classes.blocks:
         members = [idx[name] for name in block]
         for x in members:
@@ -144,11 +137,7 @@ def check_nrs(
                     if choices[(1 << y) | (1 << z)] != y:
                         continue
                     if choices[(1 << x) | (1 << z)] != x:
-                        if not out.add(
-                            (ground.options[x], ground.options[y], ground.options[z])
-                        ):
-                            return out.verdict("NRS")
-    return out.verdict("NRS")
+                        yield (ground.options[x], ground.options[y], ground.options[z])
 
 
 def check_ir(
@@ -158,11 +147,14 @@ def check_ir(
 
     Scans quadruples with x, y similar and z, t outside their class.
     """
+    return _verdict("IR", _ir_witnesses(cf, classes), cap)
+
+
+def _ir_witnesses(cf: ChoiceFunction, classes: TypePartition) -> Iterator[tuple]:
     ground = cf.ground
     choices = cf.choices
     n = ground.size
     block_of = classes.block_of()
-    out = _Collector(cap)
     for x in range(n):
         bx = block_of[x]
         for y in range(n):
@@ -181,16 +173,12 @@ def check_ir(
                     if choices[(1 << y) | (1 << t)] != y:
                         continue
                     if choices[(1 << x) | (1 << t)] != x:
-                        if not out.add(
-                            (
-                                ground.options[x],
-                                ground.options[y],
-                                ground.options[z],
-                                ground.options[t],
-                            )
-                        ):
-                            return out.verdict("IR")
-    return out.verdict("IR")
+                        yield (
+                            ground.options[x],
+                            ground.options[y],
+                            ground.options[z],
+                            ground.options[t],
+                        )
 
 
 def check_spr(
@@ -200,6 +188,10 @@ def check_spr(
     something and z reacting to the absence of y, every dissimilar option u
     beaten by x must also be beaten by y.  Witness records the failing u.
     """
+    return _verdict("SPR", _spr_witnesses(cf, report), cap)
+
+
+def _spr_witnesses(cf: ChoiceFunction, report: RevealedReport) -> Iterator[tuple]:
     ground = cf.ground
     choices = cf.choices
     n = ground.size
@@ -207,7 +199,6 @@ def check_spr(
     block_of = classes.block_of()
     reacts = [row != 0 for row in report.reaction.rows]
     reaction_rows = report.reaction.rows
-    out = _Collector(cap)
     for block in classes.blocks:
         members = [ground.index[name] for name in block]
         if len(members) < 3:
@@ -231,33 +222,30 @@ def check_spr(
                         if choices[(1 << x) | (1 << u)] != x:
                             continue
                         if choices[(1 << y) | (1 << u)] != y:
-                            if not out.add(
-                                (
-                                    ground.options[x],
-                                    ground.options[y],
-                                    ground.options[z],
-                                    ground.options[u],
-                                )
-                            ):
-                                return out.verdict("SPR")
-    return out.verdict("SPR")
+                            yield (
+                                ground.options[x],
+                                ground.options[y],
+                                ground.options[z],
+                                ground.options[u],
+                            )
 
 
 def check_iia(cf: ChoiceFunction, cap: int = DEFAULT_VIOLATION_CAP) -> AxiomVerdict:
     """IIA: removing unchosen options never changes the choice."""
+    return _verdict("IIA", _iia_witnesses(cf), cap)
+
+
+def _iia_witnesses(cf: ChoiceFunction) -> Iterator[tuple]:
     ground = cf.ground
     choices = cf.choices
-    out = _Collector(cap)
     for mask in range(1, ground.full_mask + 1):
         chosen = choices[mask]
         bit = 1 << chosen
         sub = (mask - 1) & mask
         while sub:
             if sub & bit and choices[sub] != chosen:
-                if not out.add((ground.menu_key(mask), ground.menu_key(sub))):
-                    return out.verdict("IIA")
+                yield (ground.menu_key(mask), ground.menu_key(sub))
             sub = (sub - 1) & mask
-    return out.verdict("IIA")
 
 
 def check_all(cf: ChoiceFunction, report: RevealedReport | None = None,
@@ -275,20 +263,6 @@ def check_all(cf: ChoiceFunction, report: RevealedReport | None = None,
         check_spr(cf, report, cap),
         check_iia(cf, cap),
     ]
-
-
-def passes_core_axioms(cf: ChoiceFunction, report: RevealedReport | None = None) -> bool:
-    """True when Exp, NRS and IR all hold."""
-    from .revealed import reveal
-
-    if report is None:
-        report = reveal(cf)
-    classes = report.similarity_classes
-    return (
-        check_exp(cf, cap=1).holds
-        and check_nrs(cf, classes, cap=1).holds
-        and check_ir(cf, classes, cap=1).holds
-    )
 
 
 # ---------------------------------------------------------------------------

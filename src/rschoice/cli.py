@@ -18,13 +18,13 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass, field
 
-from .axioms import AxiomViolationError, check_all
+from .axioms import DEFAULT_VIOLATION_CAP, AxiomViolationError, check_all
 from .core import (
     ChoiceFunction,
     ChoiceModelError,
     GroundSet,
+    MalformedKeyError,
     enumerate_choice_functions,
     parse_choice_function,
     parse_structure_json,
@@ -48,23 +48,14 @@ class InvalidRangeError(ChoiceModelError):
     code = "invalid-range"
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation: subcommand, paths, seed and caps."""
-
-    subcommand: str
-    input_path: str | None = None
-    out_path: str | None = None
-    seed: int = 0
-    violation_cap: int = 16
-    options: dict = field(default_factory=dict)
-
-
 def _read_input(path: str) -> bytes:
     if path == "-":
         return sys.stdin.buffer.read()
-    with open(path, "rb") as fh:
-        return fh.read()
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except IsADirectoryError as exc:
+        raise MalformedKeyError(f"input {path!r} is a directory, not a file") from exc
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -75,9 +66,8 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_choice(config: RunConfig) -> ChoiceFunction:
-    fmt = config.options.get("format", "json")
-    return parse_choice_function(_read_input(config.input_path), fmt)
+def _load_choice(args: argparse.Namespace) -> ChoiceFunction:
+    return parse_choice_function(_read_input(args.input), args.format)
 
 
 def _parse_range(spec: str) -> list[float]:
@@ -97,32 +87,32 @@ def _parse_range(spec: str) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
-def cmd_check_axioms(config: RunConfig) -> int:
-    if config.violation_cap < 0:
-        raise InvalidRangeError(f"--cap must be nonnegative, got {config.violation_cap}")
-    cf = _load_choice(config)
-    verdicts = check_all(cf, cap=config.violation_cap)
-    _emit(json.dumps([v.to_dict() for v in verdicts], indent=2) + "\n", config.out_path)
+def cmd_check_axioms(args: argparse.Namespace) -> int:
+    if args.cap < 0:
+        raise InvalidRangeError(f"--cap must be nonnegative, got {args.cap}")
+    cf = _load_choice(args)
+    verdicts = check_all(cf, cap=args.cap)
+    _emit(json.dumps([v.to_dict() for v in verdicts], indent=2) + "\n", args.out)
     core = {"Exp", "NRS", "IR", "SPR"}
     return 1 if any(not v.holds for v in verdicts if v.axiom in core) else 0
 
 
-def cmd_reveal(config: RunConfig) -> int:
-    cf = _load_choice(config)
+def cmd_reveal(args: argparse.Namespace) -> int:
+    cf = _load_choice(args)
     report = reveal(cf)
-    if config.options.get("cross_check"):
+    if args.cross_check:
         doc = json.loads(report.to_json())
         doc["definition_cross_check"] = {
             k: [list(p) for p in v] for k, v in reaction_crosscheck(cf).items()
         }
-        _emit(json.dumps(doc, indent=2) + "\n", config.out_path)
+        _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:
-        _emit(report.to_json(), config.out_path)
+        _emit(report.to_json(), args.out)
     return 0
 
 
-def cmd_synthesize(config: RunConfig) -> int:
-    cf = _load_choice(config)
+def cmd_synthesize(args: argparse.Namespace) -> int:
+    cf = _load_choice(args)
     try:
         structure, trace = synthesize_rs(cf)
     except AxiomViolationError as exc:
@@ -131,76 +121,68 @@ def cmd_synthesize(config: RunConfig) -> int:
             "message": str(exc),
             "verdicts": [v.to_dict() for v in exc.verdicts],
         }
-        _emit(json.dumps(doc, indent=2) + "\n", config.out_path)
+        _emit(json.dumps(doc, indent=2) + "\n", args.out)
         return 1
     certificate = certify_single_peaked(structure)
-    _emit(synthesis_report_json(structure, certificate, trace), config.out_path)
+    _emit(synthesis_report_json(structure, certificate, trace), args.out)
     return 0
 
 
-def cmd_welfare(config: RunConfig) -> int:
-    cf = _load_choice(config)
-    report = welfare_report(cf, transitive_closure=config.options.get("transitive_closure", False))
-    _emit(report.to_json(), config.out_path)
+def cmd_welfare(args: argparse.Namespace) -> int:
+    cf = _load_choice(args)
+    report = welfare_report(cf, transitive_closure=args.transitive_closure)
+    _emit(report.to_json(), args.out)
     return 0
 
 
-def cmd_freedom(config: RunConfig) -> int:
-    structure = parse_structure_json(_read_input(config.input_path))
+def cmd_freedom(args: argparse.Namespace) -> int:
+    structure = parse_structure_json(_read_input(args.input))
     model = freedom_model(structure)
-    _emit(freedom_table_csv(model), config.out_path)
+    _emit(freedom_table_csv(model), args.out)
     return 0
 
 
-def cmd_simulate_media(config: RunConfig) -> int:
-    params = MediaParams(p=config.options["p"], lam=config.options["lam"])
-    outcome = media_menu_choice(
-        params, config.options["menu"], no_reactance=config.options.get("no_reactance", False)
-    )
-    _emit(outcome.to_json(), config.out_path)
+def cmd_simulate_media(args: argparse.Namespace) -> int:
+    params = MediaParams(p=args.p, lam=args.lam)
+    outcome = media_menu_choice(params, args.menu, no_reactance=args.no_reactance)
+    _emit(outcome.to_json(), args.out)
     return 0
 
 
-def cmd_simulate_culture(config: RunConfig) -> int:
+def cmd_simulate_culture(args: argparse.Namespace) -> int:
     params = CultureParams(
-        beta=config.options["beta"],
-        g_hat=config.options["g_hat"],
-        v_hat=config.options["v_hat"],
-        lambda_r=config.options["lambda_r"],
-        g=config.options["g"],
-        q0=config.options["q0"],
-        dt=config.options.get("dt", 0.01),
-        horizon=config.options.get("horizon", 200.0),
+        beta=args.beta,
+        g_hat=args.g_hat,
+        v_hat=args.v_hat,
+        lambda_r=args.lambda_r,
+        g=args.g,
+        q0=args.q0,
+        dt=args.dt,
+        horizon=args.horizon,
     )
-    outcome = culture_dynamics(params, record_every=config.options.get("record_every", 100))
-    trajectory_out = config.options.get("trajectory_out")
-    if trajectory_out:
-        with open(trajectory_out, "w", encoding="utf-8", newline="") as fh:
+    outcome = culture_dynamics(params, record_every=args.record_every)
+    if args.trajectory_out:
+        with open(args.trajectory_out, "w", encoding="utf-8", newline="") as fh:
             fh.write(outcome.trajectory_csv())
     doc = json.loads(outcome.summary_json())
-    grid_n = config.options.get("consistency_grid")
-    if grid_n:
-        doc["consistency"] = json.loads(culture_rsc_consistency(params, grid_n).to_json())
-    _emit(json.dumps(doc, indent=2) + "\n", config.out_path)
+    if args.consistency_grid:
+        doc["consistency"] = json.loads(
+            culture_rsc_consistency(params, args.consistency_grid).to_json()
+        )
+    _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
 
 
-def cmd_sweep(config: RunConfig) -> int:
-    domain = config.options["domain"]
-    rng = random.Random(config.seed)
+def cmd_sweep(args: argparse.Namespace) -> int:
+    rng = random.Random(args.seed)
     lines: list[str] = []
-    if domain == "media":
-        lam_values = _parse_range(config.options["lambda_range"])
-        p_values = (
-            _parse_range(config.options["p_range"])
-            if config.options.get("p_range")
-            else None
-        )
-        samples = config.options.get("samples")
+    if args.domain == "media":
+        lam_values = _parse_range(args.lambda_range)
+        p_values = _parse_range(args.p_range) if args.p_range else None
         lines.append("p,lambda,menu,chosen,u_own_moderate,v_opposite_extreme,pstar")
         grid = []
-        if samples:
-            for _ in range(samples):
+        if args.samples:
+            for _ in range(args.samples):
                 lam = rng.uniform(0.5 + 1e-9, 0.75 - 1e-9)
                 p = rng.uniform(1e-9, 0.5 - 1e-9)
                 grid.append((p, lam))
@@ -208,53 +190,47 @@ def cmd_sweep(config: RunConfig) -> int:
             if p_values is None:
                 raise InvalidRangeError("media sweep needs --p-range or --samples")
             grid = [(p, lam) for lam in lam_values for p in p_values]
-        menu = config.options.get("menu", "N")
         for p, lam in grid:
-            out = media_menu_choice(MediaParams(p=p, lam=lam), menu)
+            out = media_menu_choice(MediaParams(p=p, lam=lam), args.menu)
             u_l = out.expected_payoffs["sigmaL"][0]
             v_rr = out.expected_payoffs["sigmaRR"][1]
             lines.append(
-                f"{p:.10f},{lam:.10f},{menu},{out.chosen_source},"
+                f"{p:.10f},{lam:.10f},{args.menu},{out.chosen_source},"
                 f"{u_l:.12f},{v_rr:.12f},{media_pstar(lam):.12f}"
             )
-    elif domain == "culture":
-        g_values = _parse_range(config.options["g_range"])
-        lr_values = (
-            _parse_range(config.options["lambda_r_range"])
-            if config.options.get("lambda_r_range")
-            else [config.options["lambda_r"]]
-        )
+    else:
+        if args.g_range is None:
+            raise InvalidRangeError("culture sweep needs --g-range")
+        g_values = _parse_range(args.g_range)
+        lr_values = _parse_range(args.lambda_r_range) if args.lambda_r_range else [args.lambda_r]
         lines.append("g,lambda_r,q_star")
         for lr in lr_values:
             for g in g_values:
                 params = CultureParams(
-                    beta=config.options["beta"],
-                    g_hat=config.options["g_hat"],
-                    v_hat=config.options["v_hat"],
+                    beta=args.beta,
+                    g_hat=args.g_hat,
+                    v_hat=args.v_hat,
                     lambda_r=lr,
                     g=g,
-                    q0=config.options["q0"],
+                    q0=args.q0,
                 )
                 lines.append(f"{g:.10f},{lr:.10f},{steady_state(params):.12f}")
-    else:
-        raise InvalidRangeError(f"unknown sweep domain {domain!r}")
-    _emit("\n".join(lines) + "\n", config.out_path)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def cmd_enumerate(config: RunConfig) -> int:
-    ground = GroundSet(tuple(config.options["options"].split(",")))
-    limit = config.options.get("limit")
-    if config.options.get("count_only"):
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    ground = GroundSet(tuple(args.options.split(",")))
+    if args.count_only:
         count = sum(1 for _ in enumerate_choice_functions(ground))
-        _emit(json.dumps({"count": count}) + "\n", config.out_path)
+        _emit(json.dumps({"count": count}) + "\n", args.out)
         return 0
     chunks = []
     for k, cf in enumerate(enumerate_choice_functions(ground)):
-        if limit is not None and k >= limit:
+        if args.limit is not None and k >= args.limit:
             break
         chunks.append(json.dumps(json.loads(serialize_choice_function(cf))))
-    _emit("\n".join(chunks) + ("\n" if chunks else ""), config.out_path)
+    _emit("\n".join(chunks) + ("\n" if chunks else ""), args.out)
     return 0
 
 
@@ -288,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-axioms", help="axiom verdicts for a choice function")
     add_cf_input(p)
-    p.add_argument("--cap", type=int, default=16, help="max violations listed per axiom")
+    p.add_argument("--cap", type=int, default=DEFAULT_VIOLATION_CAP,
+                   help="max violations listed per axiom")
 
     p = sub.add_parser("reveal", help="revealed relations and similarity classes")
     add_cf_input(p)
@@ -351,40 +328,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def dispatch(config: RunConfig) -> int:
-    """Route a parsed invocation; exceptions become coded stderr lines."""
-    handler = _COMMANDS[config.subcommand]
+def main(argv: list[str] | None = None) -> int:
+    """Parse and route one invocation; exceptions become coded stderr lines."""
+    args = build_parser().parse_args(argv)
     try:
-        return handler(config)
+        return _COMMANDS[args.subcommand](args)
     except ChoiceModelError as exc:
         sys.stderr.write(json.dumps({"error": exc.code, "message": str(exc)}) + "\n")
         return 2
     except FileNotFoundError as exc:
         sys.stderr.write(json.dumps({"error": "file-not-found", "message": str(exc)}) + "\n")
         return 2
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    options = dict(vars(args))
-    subcommand = options.pop("subcommand")
-    seed = options.pop("seed", 0)
-    input_path = options.pop("input", None)
-    out_path = options.pop("out", None)
-    cap = options.pop("cap", 16)
-    return RunConfig(
-        subcommand=subcommand,
-        input_path=input_path,
-        out_path=out_path,
-        seed=seed,
-        violation_cap=cap,
-        options={k: v for k, v in options.items() if v is not None},
-    )
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return dispatch(config_from_args(args))
 
 
 if __name__ == "__main__":

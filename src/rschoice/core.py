@@ -310,6 +310,13 @@ def enumerate_choice_functions(ground: GroundSet) -> Iterator[ChoiceFunction]:
 # ---------------------------------------------------------------------------
 
 
+def _decode(text: bytes | str) -> str:
+    try:
+        return text.decode("utf-8") if isinstance(text, bytes) else text
+    except UnicodeDecodeError as exc:
+        raise MalformedKeyError(f"input is not UTF-8: {exc}") from exc
+
+
 def _reject_duplicate_keys(pairs):
     seen = set()
     for key, _ in pairs:
@@ -323,6 +330,8 @@ def _function_from_entries(ground: GroundSet, entries: list[tuple[str, str]]) ->
     assignment: dict[int, int] = {}
     for key, chosen in entries:
         mask = ground.parse_menu_key(key)
+        if not isinstance(chosen, str):
+            raise MalformedKeyError(f"choice from {key!r} must be an option label, got {chosen!r}")
         if mask in assignment:
             raise DuplicateMenuError(f"duplicate menu key {key!r}")
         pos = ground.index.get(chosen)
@@ -336,8 +345,7 @@ def _function_from_entries(ground: GroundSet, entries: list[tuple[str, str]]) ->
 
 def parse_choice_function(text: bytes | str, format: str = "json") -> ChoiceFunction:
     """Parse and validate a choice function from JSON or CSV bytes."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    text = _decode(text)
     if format == "json":
         try:
             doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
@@ -345,6 +353,10 @@ def parse_choice_function(text: bytes | str, format: str = "json") -> ChoiceFunc
             raise MalformedKeyError(f"invalid JSON: {exc}") from exc
         if not isinstance(doc, dict) or "options" not in doc or "choices" not in doc:
             raise MalformedKeyError("expected an object with 'options' and 'choices'")
+        if not isinstance(doc["options"], list):
+            raise InvalidGroundSetError("'options' must be a list of option labels")
+        if not isinstance(doc["choices"], dict):
+            raise MalformedKeyError("'choices' must be an object mapping menu keys to options")
         ground = GroundSet(tuple(doc["options"]))
         entries = list(doc["choices"].items())
     elif format == "csv":
@@ -396,8 +408,7 @@ def parse_structure_json(text: bytes | str):
     """
     from .structure import RSStructure
 
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    text = _decode(text)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

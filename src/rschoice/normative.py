@@ -19,13 +19,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .axioms import AxiomViolationError, AxiomVerdict, DEFAULT_VIOLATION_CAP, _Collector
-from .core import ChoiceFunction, ChoiceModelError, GroundSet, iter_bits
-from .revealed import BinaryRelation
+from .axioms import AxiomViolationError, AxiomVerdict, DEFAULT_VIOLATION_CAP, _verdict
+from .core import ChoiceFunction, ChoiceModelError, GroundSet
+from .revealed import BinaryRelation, single_deletion_switches
 from .structure import RSStructure, SinglePeakedCertificate, certify_single_peaked, minimal_structure
+
+
+#: Above this many (C, D) pairs the composition check samples that many,
+#: deterministically from ``COMPOSITION_SAMPLE_SEED``.
+COMPOSITION_SAMPLE_LIMIT = 200_000
+COMPOSITION_SAMPLE_SEED = 0
 
 
 class NotSinglePeakedRSCError(ChoiceModelError):
@@ -136,18 +143,8 @@ def bernheim_rangel_pstar(cf: ChoiceFunction) -> BinaryRelation:
 def masatlioglu_pr(cf: ChoiceFunction) -> BinaryRelation:
     """Transitive closure of: x over y iff removing y from some menu where
     x is chosen changes the choice."""
-    ground = cf.ground
-    n = ground.size
-    rows = [0] * n
-    for mask in range(1, ground.full_mask + 1):
-        x = cf.choices[mask]
-        for y in iter_bits(mask):
-            if y == x:
-                continue
-            sub = mask ^ (1 << y)
-            if sub and cf.choices[sub] != x:
-                rows[x] |= 1 << y
-    return BinaryRelation(ground, tuple(rows), strict=True).transitive_closure()
+    base = single_deletion_switches(cf)[0]
+    return BinaryRelation(cf.ground, base, strict=True).transitive_closure()
 
 
 def _containment(name_a: str, rel_a: BinaryRelation, name_b: str, rel_b: BinaryRelation,
@@ -309,8 +306,6 @@ def check_menu_axioms(
     model: FreedomModel,
     pref: MenuPreference,
     cap: int = DEFAULT_VIOLATION_CAP,
-    sample_limit: int = 200_000,
-    seed: int = 0,
 ) -> tuple[AxiomVerdict, AxiomVerdict]:
     """Check the dominance and composition axioms against a menu ranking.
 
@@ -318,18 +313,21 @@ def check_menu_axioms(
     and a strict preference between singletons requires strict richness.
     Composition: merging disjoint within-type menus that add real freedom
     preserves the ranking.  Composition tuples are enumerated exhaustively
-    up to five options; above that the (C, D) pair space is sampled
-    deterministically from the given seed, up to ``sample_limit`` pairs.
+    up to five options; above that ``COMPOSITION_SAMPLE_LIMIT`` (C, D) pairs
+    are sampled deterministically from ``COMPOSITION_SAMPLE_SEED``.
     """
-    ground = model.ground
-    size = 1 << ground.size
     sig = _satisfaction_signature(model)
     scores = np.asarray(pref.scores, dtype=np.int64)
-    masks = np.arange(size, dtype=np.int64)
+    return (
+        _verdict("R-Dominance", _dominance_witnesses(model.ground, sig, scores), cap),
+        _verdict("R-Composition", _composition_witnesses(model, sig, scores), cap),
+    )
 
-    dom = _Collector(cap)
+
+def _dominance_witnesses(ground: GroundSet, sig: np.ndarray,
+                         scores: np.ndarray) -> Iterator[tuple]:
     # richer(A,B) <=> satisfied types of B form a subset of those of A
-    for a in range(1, size):
+    for a in range(1, 1 << ground.size):
         richer = (sig & ~sig[a]) == 0
         richer[0] = False
         weak_viol = richer & (scores[a] < scores)
@@ -337,36 +335,27 @@ def check_menu_axioms(
         strict_viol = strict & (scores[a] <= scores)
         for b in np.flatnonzero(weak_viol | strict_viol):
             kind = "strictly_richer" if strict_viol[b] else "richer"
-            if not dom.add((ground.menu_key(a), ground.menu_key(int(b)), kind)):
-                break
-        if dom.truncated:
-            break
-    if not dom.truncated:
-        for x in range(ground.size):
-            for y in range(ground.size):
-                if x == y:
-                    continue
-                a, b = 1 << x, 1 << y
-                if scores[a] > scores[b] and not (sig[b] & ~sig[a] == 0 and sig[a] != sig[b]):
-                    if not dom.add(
-                        (ground.options[x], ground.options[y], "singleton")
-                    ):
-                        break
-            if dom.truncated:
-                break
-    dominance = dom.verdict("R-Dominance")
+            yield (ground.menu_key(a), ground.menu_key(int(b)), kind)
+    for x in range(ground.size):
+        for y in range(ground.size):
+            if x == y:
+                continue
+            a, b = 1 << x, 1 << y
+            if scores[a] > scores[b] and not (sig[b] & ~sig[a] == 0 and sig[a] != sig[b]):
+                yield (ground.options[x], ground.options[y], "singleton")
 
-    comp = _Collector(cap)
-    within = [
-        sub
-        for tmask in model.structure.types.block_masks()
-        for sub in _submasks(tmask)
-    ]
-    within.sort()
+
+def _composition_witnesses(model: FreedomModel, sig: np.ndarray,
+                           scores: np.ndarray) -> Iterator[tuple]:
+    ground = model.ground
+    masks = np.arange(1 << ground.size, dtype=np.int64)
+    within = sorted(
+        sub for tmask in model.structure.types.block_masks() for sub in _submasks(tmask)
+    )
     pairs = [(c, d) for c in within for d in within]
-    if len(pairs) > sample_limit:
-        rng = np.random.default_rng(seed)
-        keep = rng.choice(len(pairs), size=sample_limit, replace=False)
+    if len(pairs) > COMPOSITION_SAMPLE_LIMIT:
+        rng = np.random.default_rng(COMPOSITION_SAMPLE_SEED)
+        keep = rng.choice(len(pairs), size=COMPOSITION_SAMPLE_LIMIT, replace=False)
         pairs = [pairs[int(k)] for k in sorted(keep)]
     for c, d in pairs:
         if scores[c] < scores[d]:
@@ -382,22 +371,15 @@ def check_menu_axioms(
         viol = (scores[a_idx][:, None] >= scores[b_idx][None, :]) & (
             scores[a_idx | c][:, None] < scores[b_idx | d][None, :]
         )
-        if viol.any():
-            for ai, bi in np.argwhere(viol):
-                a, b = int(a_idx[ai]), int(b_idx[bi])
-                if not comp.add(
-                    (
-                        ground.menu_key(a),
-                        ground.menu_key(b),
-                        ground.menu_key(c),
-                        ground.menu_key(d),
-                    )
-                ):
-                    break
-            if comp.truncated:
-                break
-    composition = comp.verdict("R-Composition")
-    return dominance, composition
+        if not viol.any():
+            continue
+        for ai, bi in np.argwhere(viol):
+            yield (
+                ground.menu_key(int(a_idx[ai])),
+                ground.menu_key(int(b_idx[bi])),
+                ground.menu_key(c),
+                ground.menu_key(d),
+            )
 
 
 def _submasks(mask: int) -> list[int]:

@@ -129,6 +129,26 @@ def reveal_reaction(cf: ChoiceFunction) -> tuple[BinaryRelation, dict[tuple[str,
     return BinaryRelation(ground, tuple(rows), strict=True), witness
 
 
+def single_deletion_switches(cf: ChoiceFunction) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Adjacency rows read off every switch under a single deletion.
+
+    A switch is a menu A and an unchosen y in A with c(A \\ {y}) != c(A).
+    Each switch sets bit y in ``before[c(A)]`` and in ``after[c(A \\ {y})]``;
+    the choice from A minus y is never y, so both are irreflexive.
+    """
+    choices = cf.choices
+    before = [0] * cf.ground.size
+    after = [0] * cf.ground.size
+    for mask in range(1, cf.ground.full_mask + 1):
+        chosen = choices[mask]
+        for y in iter_bits(mask ^ (1 << chosen)):
+            x = choices[mask ^ (1 << y)]
+            if x != chosen:
+                before[chosen] |= 1 << y
+                after[x] |= 1 << y
+    return tuple(before), tuple(after)
+
+
 def reaction_menu_scan(cf: ChoiceFunction) -> BinaryRelation:
     """Arbitrary-menu variant of the reaction relation.
 
@@ -136,24 +156,7 @@ def reaction_menu_scan(cf: ChoiceFunction) -> BinaryRelation:
     ``x = c(A \\ {y}) != c(A) != y``.  Cost 2^n menus instead of n^3
     triples; meant for cross-checking the triple-based default.
     """
-    ground = cf.ground
-    n = ground.size
-    choices = cf.choices
-    rows = [0] * n
-    for mask in range(1, ground.full_mask + 1):
-        chosen = choices[mask]
-        for y in iter_bits(mask):
-            if y == chosen:
-                continue
-            sub = mask ^ (1 << y)
-            if sub == 0:
-                continue
-            x = choices[sub]
-            if x != chosen:
-                rows[x] |= 1 << y
-    for i in range(n):
-        rows[i] &= ~(1 << i)
-    return BinaryRelation(ground, tuple(rows), strict=True)
+    return BinaryRelation(cf.ground, single_deletion_switches(cf)[1], strict=True)
 
 
 def reaction_crosscheck(cf: ChoiceFunction) -> dict[str, list[tuple[str, str]]]:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 
 import pytest
@@ -18,9 +20,14 @@ from rschoice.axioms import (
     tsm_fixture_nrs_violation,
     tsm_fixture_spr_violation,
 )
-from rschoice.core import GroundSet, LinearOrder, choice_from_order
+from rschoice.core import GroundSet, LinearOrder, TypePartition, choice_from_order
 from rschoice.fixtures import detergent_choice
-from rschoice.generators import ground_of_size, random_choice_function
+from rschoice.generators import (
+    ground_of_size,
+    random_choice_function,
+    random_single_peaked_structure,
+)
+from rschoice.normative import MenuPreference, check_menu_axioms, freedom_model
 from rschoice.revealed import reveal
 
 from conftest import cf_from
@@ -168,19 +175,59 @@ def test_witnesses_replay_against_the_function(rng):
     assert replayed > 100
 
 
+AXIOM_CHECKS = {
+    "Exp": lambda cf, report, cap: check_exp(cf, cap),
+    "NRS": lambda cf, report, cap: check_nrs(cf, report.similarity_classes, cap),
+    "IR": lambda cf, report, cap: check_ir(cf, report.similarity_classes, cap),
+    "SPR": lambda cf, report, cap: check_spr(cf, report, cap),
+    "IIA": lambda cf, report, cap: check_iia(cf, cap),
+}
+
+
+def _capped_checks(rng):
+    """(axiom, check(cap)) for all seven checkers on inputs with violations.
+
+    A random function reveals a single class, under which NRS, IR and SPR
+    have few or no witnesses; its report gets a 4 + 2 partition instead.
+    """
+    fixtures = (tsm_choice(tsm_fixture_nrs_violation()), tsm_choice(tsm_fixture_spr_violation()))
+    inputs = [(cf, reveal(cf)) for cf in fixtures]
+    for _ in range(6):
+        cf = random_choice_function(rng, ground_of_size(6))
+        opts = cf.ground.options
+        partition = TypePartition(cf.ground, (opts[:4], opts[4:]))
+        inputs.append((cf, dataclasses.replace(reveal(cf), similarity_classes=partition)))
+    for cf, report in inputs:
+        for axiom, check in AXIOM_CHECKS.items():
+            yield axiom, functools.partial(check, cf, report)
+    for _ in range(3):
+        model = freedom_model(random_single_peaked_structure(rng, ground_of_size(4)))
+        size = 1 << model.ground.size
+        for scores in ([0] * size, [rng.randrange(4) for _ in range(size)]):
+            pref = MenuPreference(model.ground, tuple(scores))
+            for k, axiom in enumerate(("R-Dominance", "R-Composition")):
+                yield axiom, lambda cap, pref=pref, model=model, k=k: (
+                    check_menu_axioms(model, pref, cap)[k]
+                )
+
+
 def test_violation_cap_and_determinism(rng):
-    cf = random_choice_function(rng, ground_of_size(4))
-    full = check_iia(cf, cap=10_000)
-    capped = check_iia(cf, cap=3)
-    if len(full.violations) > 3:
-        assert capped.truncated
-        assert capped.violations == full.violations[:3]
-    again = check_iia(cf, cap=10_000)
-    assert again.violations == full.violations
-    silent = check_iia(cf, cap=0)
-    assert silent.holds == full.holds
-    assert silent.violations == ()
-    assert silent.truncated == bool(full.violations)
+    most: dict[str, int] = {}
+    for axiom, check in _capped_checks(rng):
+        full = check(10**9)
+        assert full.axiom == axiom and not full.truncated
+        assert full.holds == (not full.violations)
+        assert check(10**9) == full
+        for cap in (0, 1, 3):
+            capped = check(cap)
+            assert capped.violations == full.violations[:cap]
+            assert capped.truncated == (len(full.violations) > cap)
+            assert capped.holds == full.holds
+        with pytest.raises(ValueError):
+            check(-1)
+        most[axiom] = max(most.get(axiom, 0), len(full.violations))
+    # every checker was cut short at cap 3 on some input
+    assert len(most) == 7 and min(most.values()) > 3, most
 
 
 def test_shortlist_choices_match_stated_values():

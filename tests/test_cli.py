@@ -177,6 +177,48 @@ def test_missing_file_is_a_coded_error(capsys):
     assert json.loads(err)["error"] == "file-not-found"
 
 
+def _assert_one_coded_error(code, out, err, error):
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == error
+
+
+def _check_axioms_on(capsys, tmp_path, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    return run(capsys, "check-axioms", str(path))
+
+
+def test_choices_given_as_a_list_is_a_coded_error(capsys, tmp_path):
+    result = _check_axioms_on(capsys, tmp_path, '{"options": ["x", "y"], "choices": ["x"]}')
+    _assert_one_coded_error(*result, "malformed-key")
+
+
+def test_list_as_chosen_value_is_a_coded_error(capsys, tmp_path):
+    text = '{"options": ["x", "y"], "choices": {"x": "x", "y": "y", "x,y": ["x"]}}'
+    _assert_one_coded_error(*_check_axioms_on(capsys, tmp_path, text), "malformed-key")
+
+
+def test_directory_as_input_is_a_coded_error(capsys, tmp_path):
+    _assert_one_coded_error(*run(capsys, "check-axioms", str(tmp_path)), "malformed-key")
+
+
+def test_options_given_as_a_string_is_rejected(capsys, tmp_path):
+    text = '{"options": "xyz", "choices": {"x": "x", "y": "y", "z": "z"}}'
+    _assert_one_coded_error(*_check_axioms_on(capsys, tmp_path, text), "invalid-ground-set")
+
+
+def test_non_utf8_input_is_a_coded_error(capsys, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_bytes(b"\xff\xfe{}")
+    _assert_one_coded_error(*run(capsys, "check-axioms", str(path)), "malformed-key")
+
+
+def test_culture_sweep_without_g_range_is_a_coded_error(capsys):
+    _assert_one_coded_error(*run(capsys, "sweep", "culture"), "invalid-range")
+
+
 def test_seed_env_var_sets_default(capsys, monkeypatch):
     monkeypatch.setenv("RSCHOICE_SEED", "99")
     _, with_env, _ = run(capsys, "sweep", "media", "--samples", "20")
