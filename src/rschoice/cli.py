@@ -36,7 +36,7 @@ from .culture import (
     culture_rsc_consistency,
     steady_state,
 )
-from .media import MediaParams, media_menu_choice, media_pstar
+from .media import InvalidParamsError, MediaParams, media_menu_choice, media_pstar
 from .normative import freedom_model, freedom_table_csv, welfare_report
 from .revealed import reaction_crosscheck, reveal
 from .structure import certify_single_peaked, synthesis_report_json, synthesize_rs
@@ -46,6 +46,10 @@ SEED_ENV_VAR = "RSCHOICE_SEED"
 
 class InvalidRangeError(ChoiceModelError):
     code = "invalid-range"
+
+
+class OutputPathError(ChoiceModelError):
+    code = "invalid-output-path"
 
 
 def _read_input(path: str) -> bytes:
@@ -58,10 +62,17 @@ def _read_input(path: str) -> bytes:
         raise MalformedKeyError(f"input {path!r} is a directory, not a file") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except (IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+        raise OutputPathError(f"cannot write output {path!r}: {exc.strerror}") from exc
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write(out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -162,8 +173,7 @@ def cmd_simulate_culture(args: argparse.Namespace) -> int:
     )
     outcome = culture_dynamics(params, record_every=args.record_every)
     if args.trajectory_out:
-        with open(args.trajectory_out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(outcome.trajectory_csv())
+        _write(args.trajectory_out, outcome.trajectory_csv())
     doc = json.loads(outcome.summary_json())
     if args.consistency_grid:
         doc["consistency"] = json.loads(
@@ -214,7 +224,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     g=g,
                     q0=args.q0,
                 )
-                lines.append(f"{g:.10f},{lr:.10f},{steady_state(params):.12f}")
+                try:
+                    q_star = steady_state(params)
+                except InvalidParamsError as exc:
+                    raise InvalidRangeError(f"sweep grid leaves the float range: {exc}") from exc
+                lines.append(f"{g:.10f},{lr:.10f},{q_star:.12f}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -317,6 +317,12 @@ def _decode(text: bytes | str) -> str:
         raise MalformedKeyError(f"input is not UTF-8: {exc}") from exc
 
 
+def _labels(value, what: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise InvalidGroundSetError(f"{what} must be a list of option labels")
+    return tuple(value)
+
+
 def _reject_duplicate_keys(pairs):
     seen = set()
     for key, _ in pairs:
@@ -353,11 +359,10 @@ def parse_choice_function(text: bytes | str, format: str = "json") -> ChoiceFunc
             raise MalformedKeyError(f"invalid JSON: {exc}") from exc
         if not isinstance(doc, dict) or "options" not in doc or "choices" not in doc:
             raise MalformedKeyError("expected an object with 'options' and 'choices'")
-        if not isinstance(doc["options"], list):
-            raise InvalidGroundSetError("'options' must be a list of option labels")
+        options = _labels(doc["options"], "'options'")
         if not isinstance(doc["choices"], dict):
             raise MalformedKeyError("'choices' must be an object mapping menu keys to options")
-        ground = GroundSet(tuple(doc["options"]))
+        ground = GroundSet(options)
         entries = list(doc["choices"].items())
     elif format == "csv":
         reader = csv.reader(io.StringIO(text))
@@ -413,15 +418,21 @@ def parse_structure_json(text: bytes | str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedKeyError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise MalformedKeyError("expected an object with 'types', 'welfare' and 'reaction'")
     for key in ("types", "welfare", "reaction"):
         if key not in doc:
             raise MalformedKeyError(f"structure JSON missing {key!r}")
-    ground = GroundSet(tuple(doc["welfare"]))
+    welfare = _labels(doc["welfare"], "'welfare'")
+    types = doc["types"]
+    if not isinstance(types, list):
+        raise InvalidGroundSetError("'types' must be a list of option-label lists")
+    ground = GroundSet(welfare)
     return RSStructure(
         ground=ground,
-        types=TypePartition(ground, tuple(tuple(b) for b in doc["types"])),
-        welfare=LinearOrder(ground, tuple(doc["welfare"])),
-        reaction_pref=LinearOrder(ground, tuple(doc["reaction"])),
+        types=TypePartition(ground, tuple(_labels(b, "each type") for b in types)),
+        welfare=LinearOrder(ground, welfare),
+        reaction_pref=LinearOrder(ground, _labels(doc["reaction"], "'reaction'")),
     )
 
 

@@ -20,6 +20,7 @@ that the two-order structure, evaluated by the shared kernel
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .core import ChoiceModelError
@@ -94,10 +95,19 @@ class CultureOutcome:
 
 
 def transmission_value(g: float, g_hat: float, v_hat: float, lambda_r: float) -> float:
-    """V(g): flat below the reactance threshold, power-rising above it."""
+    """V(g): flat below the reactance threshold, power-rising above it.
+
+    Raises ``InvalidParamsError`` when V(g) exceeds the float range.
+    """
     if g <= g_hat:
         return v_hat
-    return v_hat * (g / g_hat) ** lambda_r
+    try:
+        value = v_hat * (g / g_hat) ** lambda_r
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise InvalidParamsError(f"V(g) overflows a float at g={g}, lambda_r={lambda_r}")
+    return value
 
 
 def effort(beta: float, value: float, g: float, q: float) -> float:

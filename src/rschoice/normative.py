@@ -23,7 +23,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .axioms import AxiomViolationError, AxiomVerdict, DEFAULT_VIOLATION_CAP, _verdict
+from .axioms import (
+    AxiomViolationError,
+    AxiomVerdict,
+    DEFAULT_VIOLATION_CAP,
+    _subset_zeta,
+    _verdict,
+)
 from .core import ChoiceFunction, ChoiceModelError, GroundSet
 from .revealed import BinaryRelation, single_deletion_switches
 from .structure import RSStructure, SinglePeakedCertificate, certify_single_peaked, minimal_structure
@@ -312,27 +318,45 @@ def check_menu_axioms(
     Dominance: (strictly) richer menus must be (strictly) weakly preferred,
     and a strict preference between singletons requires strict richness.
     Composition: merging disjoint within-type menus that add real freedom
-    preserves the ranking.  Composition tuples are enumerated exhaustively
-    up to five options; above that ``COMPOSITION_SAMPLE_LIMIT`` (C, D) pairs
-    are sampled deterministically from ``COMPOSITION_SAMPLE_SEED``.
+    preserves the ranking.  Every within-type pair (C, D) is checked while
+    there are at most ``COMPOSITION_SAMPLE_LIMIT`` of them; beyond that,
+    that many are sampled deterministically from ``COMPOSITION_SAMPLE_SEED``.
+
+    Both checks gate, then scan: an exact test over all menus at once
+    picks the menus (dominance) or (C, D) pairs (composition) that have a
+    witness, and only those are scanned, in the order of an ungated scan,
+    so the witness lists are the same.  ``pref`` may be any ranking; both
+    checks read scores as ranks, and the gates never assume that a menu's
+    score is a function of its signature.  On a ranking that satisfies
+    both axioms the cost is O(2^n + k 2^k) for dominance with k types and
+    O(W 2^n + W^2 V) for composition with W within-type menus and V
+    distinct scores, against O(4^n) and O(W^2 4^n) for the ungated scans;
+    each violating menu or pair adds its O(2^n) or O(4^n) scan.
     """
     sig = _satisfaction_signature(model)
-    scores = np.asarray(pref.scores, dtype=np.int64)
+    rank = np.unique(np.asarray(pref.scores, dtype=np.int64), return_inverse=True)[1]
     return (
-        _verdict("R-Dominance", _dominance_witnesses(model.ground, sig, scores), cap),
-        _verdict("R-Composition", _composition_witnesses(model, sig, scores), cap),
+        _verdict("R-Dominance", _dominance_witnesses(model.ground, sig, rank), cap),
+        _verdict("R-Composition", _composition_witnesses(model, sig, rank), cap),
     )
 
 
 def _dominance_witnesses(ground: GroundSet, sig: np.ndarray,
-                         scores: np.ndarray) -> Iterator[tuple]:
-    # richer(A,B) <=> satisfied types of B form a subset of those of A
-    for a in range(1, 1 << ground.size):
+                         rank: np.ndarray) -> Iterator[tuple]:
+    """Menu pairs (A, B) where A is richer but less preferred, then
+    singleton pairs ranked strictly without strict richness.
+
+    A is richer than B when B's satisfied types form a subset of A's.  The
+    gate ``_dominance_open_menus`` flags the menus A that have some B; the
+    O(2^n) scan over B runs for flagged A only, in ascending order.
+    """
+    for a in _dominance_open_menus(sig, rank):
+        a = int(a)
         richer = (sig & ~sig[a]) == 0
         richer[0] = False
-        weak_viol = richer & (scores[a] < scores)
+        weak_viol = richer & (rank[a] < rank)
         strict = richer & ((sig | sig[a]) != sig)  # B's types strictly inside A's
-        strict_viol = strict & (scores[a] <= scores)
+        strict_viol = strict & (rank[a] <= rank)
         for b in np.flatnonzero(weak_viol | strict_viol):
             kind = "strictly_richer" if strict_viol[b] else "richer"
             yield (ground.menu_key(a), ground.menu_key(int(b)), kind)
@@ -341,12 +365,43 @@ def _dominance_witnesses(ground: GroundSet, sig: np.ndarray,
             if x == y:
                 continue
             a, b = 1 << x, 1 << y
-            if scores[a] > scores[b] and not (sig[b] & ~sig[a] == 0 and sig[a] != sig[b]):
+            if rank[a] > rank[b] and not (sig[b] & ~sig[a] == 0 and sig[a] != sig[b]):
                 yield (ground.options[x], ground.options[y], "singleton")
 
 
+def _dominance_open_menus(sig: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """Nonempty menus A, ascending, with a nonempty B ranked above A whose
+    signature lies inside A's, or ranked level with A and strictly inside.
+
+    top[s] is the highest rank among menus with signature s; a subset-max
+    transform over the signature bits turns it into the highest rank with
+    signature inside s, and one more pass gives the highest rank strictly
+    inside s.  O(2^n + k 2^k) for signatures of k bits.
+    """
+    size = 1 << int(sig.max()).bit_length()
+    top = np.full(size, -1, dtype=np.int64)
+    np.maximum.at(top, sig[1:], rank[1:])
+    _subset_zeta(top, np.maximum)
+    inside = np.full(size, -1, dtype=np.int64)
+    bit = 1
+    while bit < size:
+        below = inside.reshape(-1, 2, bit)
+        np.maximum(below[:, 1], top.reshape(-1, 2, bit)[:, 0], out=below[:, 1])
+        bit <<= 1
+    own = sig[1:]
+    return np.flatnonzero((top[own] > rank[1:]) | (inside[own] >= rank[1:])) + 1
+
+
 def _composition_witnesses(model: FreedomModel, sig: np.ndarray,
-                           scores: np.ndarray) -> Iterator[tuple]:
+                           rank: np.ndarray) -> Iterator[tuple]:
+    """Tuples (A, B, C, D): C, D within-type with C weakly above D, nonempty
+    A disjoint from C and not richer than C, nonempty B disjoint from D, A
+    weakly above B, yet A | C strictly below B | D.
+
+    After the sampling step, the gate ``_composition_open_pairs`` decides
+    for each (C, D) pair whether some (A, B) exists; the O(4^n) scan over
+    (A, B) runs for those pairs only.
+    """
     ground = model.ground
     masks = np.arange(1 << ground.size, dtype=np.int64)
     within = sorted(
@@ -357,22 +412,20 @@ def _composition_witnesses(model: FreedomModel, sig: np.ndarray,
         rng = np.random.default_rng(COMPOSITION_SAMPLE_SEED)
         keep = rng.choice(len(pairs), size=COMPOSITION_SAMPLE_LIMIT, replace=False)
         pairs = [pairs[int(k)] for k in sorted(keep)]
+    is_open = _composition_open_pairs(within, masks, sig, rank)
+    row = {m: i for i, m in enumerate(within)}
     for c, d in pairs:
-        if scores[c] < scores[d]:
+        if rank[c] < rank[d] or not is_open[row[c], row[d]]:
             continue
         a_ok = ((masks & c) == 0) & ((sig[c] & ~sig) != 0)  # disjoint, not richer than C
         a_ok[0] = False
         b_ok = (masks & d) == 0
         b_ok[0] = False
-        if not a_ok.any() or not b_ok.any():
-            continue
         a_idx = np.flatnonzero(a_ok)
         b_idx = np.flatnonzero(b_ok)
-        viol = (scores[a_idx][:, None] >= scores[b_idx][None, :]) & (
-            scores[a_idx | c][:, None] < scores[b_idx | d][None, :]
+        viol = (rank[a_idx][:, None] >= rank[b_idx][None, :]) & (
+            rank[a_idx | c][:, None] < rank[b_idx | d][None, :]
         )
-        if not viol.any():
-            continue
         for ai, bi in np.argwhere(viol):
             yield (
                 ground.menu_key(int(a_idx[ai])),
@@ -380,6 +433,36 @@ def _composition_witnesses(model: FreedomModel, sig: np.ndarray,
                 ground.menu_key(c),
                 ground.menu_key(d),
             )
+
+
+def _composition_open_pairs(within: list[int], masks: np.ndarray, sig: np.ndarray,
+                            rank: np.ndarray) -> np.ndarray:
+    """is_open[i, j]: some (A, B) breaks composition for the pair
+    (C, D) = (within[i], within[j]), whatever the ranks of C and D.
+
+    Per within-type menu M = within[i], over score ranks v:
+
+    * lo[i, v], the lowest rank of A | M over nonempty A disjoint from M,
+      not richer than M, with rank v (V, past every rank, where none);
+    * best[i, v], the highest rank of B | M over nonempty B disjoint from
+      M with rank at most v (-1 where none).
+
+    A witness for (C, D) has rank(B) <= rank(A) = v and B | D above A | C,
+    so one exists iff best[j, v] > lo[i, v] for some v.  O(W 2^n + W^2 V)
+    time and O(W V + W^2) memory for W menus and V distinct ranks.
+    """
+    n_ranks = int(rank.max()) + 1
+    lo = np.full((len(within), n_ranks), n_ranks, dtype=np.int64)
+    best = np.full((len(within), n_ranks), -1, dtype=np.int64)
+    for i, m in enumerate(within):
+        disjoint = (masks & m) == 0
+        disjoint[0] = False
+        a_idx = np.flatnonzero(disjoint & ((sig[m] & ~sig) != 0))
+        np.minimum.at(lo[i], rank[a_idx], rank[a_idx | m])
+        b_idx = np.flatnonzero(disjoint)
+        np.maximum.at(best[i], rank[b_idx], rank[b_idx | m])
+    np.maximum.accumulate(best, axis=1, out=best)
+    return np.array([(best > lo_c).any(axis=1) for lo_c in lo])
 
 
 def _submasks(mask: int) -> list[int]:

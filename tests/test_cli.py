@@ -219,6 +219,48 @@ def test_culture_sweep_without_g_range_is_a_coded_error(capsys):
     _assert_one_coded_error(*run(capsys, "sweep", "culture"), "invalid-range")
 
 
+def test_culture_sweep_overflowing_v_is_a_coded_error(capsys):
+    result = run(capsys, "sweep", "culture", "--g-range", "1:1e308:3")
+    _assert_one_coded_error(*result, "invalid-range")
+
+
+def test_out_naming_a_directory_is_a_coded_error(capsys, tmp_path, tsm1_file):
+    result = run(capsys, "check-axioms", tsm1_file, "--out", str(tmp_path))
+    _assert_one_coded_error(*result, "invalid-output-path")
+
+
+def test_trajectory_out_naming_a_directory_is_a_coded_error(capsys, tmp_path):
+    result = run(
+        capsys,
+        "simulate-culture",
+        "--beta", "2", "--g-hat", "2", "--v-hat", "2", "--lambda-r", "2",
+        "--g", "1", "--q0", "0.3", "--horizon", "1",
+        "--trajectory-out", str(tmp_path),
+    )
+    _assert_one_coded_error(*result, "invalid-output-path")
+
+
+def _freedom_on(capsys, tmp_path, text):
+    path = tmp_path / "structure.json"
+    path.write_text(text)
+    return run(capsys, "freedom", str(path))
+
+
+def test_structure_types_given_as_a_number_is_a_coded_error(capsys, tmp_path):
+    text = '{"types": 5, "welfare": ["x", "y"], "reaction": ["x", "y"]}'
+    _assert_one_coded_error(*_freedom_on(capsys, tmp_path, text), "invalid-ground-set")
+
+
+def test_list_inside_structure_reaction_is_a_coded_error(capsys, tmp_path):
+    text = '{"types": [["x"], ["y"]], "welfare": ["x", "y"], "reaction": ["x", ["y"]]}'
+    _assert_one_coded_error(*_freedom_on(capsys, tmp_path, text), "invalid-ground-set")
+
+
+def test_structure_welfare_given_as_a_string_is_rejected(capsys, tmp_path):
+    text = '{"types": [["x"], ["y"]], "welfare": "xy", "reaction": ["x", "y"]}'
+    _assert_one_coded_error(*_freedom_on(capsys, tmp_path, text), "invalid-ground-set")
+
+
 def test_seed_env_var_sets_default(capsys, monkeypatch):
     monkeypatch.setenv("RSCHOICE_SEED", "99")
     _, with_env, _ = run(capsys, "sweep", "media", "--samples", "20")

@@ -1,0 +1,172 @@
+"""The exact gates in front of the Expansion, dominance and composition
+scans, unit by unit, against ungated reference loops kept here.
+
+Each gate must flag exactly the units (chosen-option families, menus,
+(C, D) pairs) that have a witness, so the gated checkers list the same
+witnesses as the references.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from rschoice.axioms import _union_closed, check_exp
+from rschoice.core import (
+    ChoiceFunction,
+    GroundSet,
+    choice_from_order,
+    enumerate_choice_functions,
+)
+from rschoice.generators import ground_of_size, random_order, random_single_peaked_structure
+from rschoice.normative import (
+    MenuPreference,
+    _composition_open_pairs,
+    _dominance_open_menus,
+    _satisfaction_signature,
+    _submasks,
+    check_menu_axioms,
+    freedom_model,
+    freedom_ranking,
+)
+
+
+def exp_reference(cf: ChoiceFunction) -> list[tuple]:
+    """Ungated Expansion scan: every menu pair of every chosen-option family."""
+    ground, choices = cf.ground, cf.choices
+    out = []
+    for x in range(ground.size):
+        menus = [m for m in range(1, ground.full_mask + 1) if choices[m] == x]
+        for ai, a in enumerate(menus):
+            for b in menus[ai + 1:]:
+                got = choices[a | b]
+                if got != x:
+                    out.append((ground.menu_key(a), ground.menu_key(b),
+                                ground.options[x], ground.options[got]))
+    return out
+
+
+def dominance_reference(ground: GroundSet, sig: np.ndarray, scores: np.ndarray) -> list[tuple]:
+    """Ungated dominance scan: every menu A against every menu B, then singletons."""
+    out = []
+    for a in range(1, 1 << ground.size):
+        for b in range(1, 1 << ground.size):
+            if sig[b] & ~sig[a]:
+                continue
+            strict = sig[b] != sig[a]
+            if scores[a] < scores[b] or (strict and scores[a] <= scores[b]):
+                kind = "strictly_richer" if strict and scores[a] <= scores[b] else "richer"
+                out.append((ground.menu_key(a), ground.menu_key(b), kind))
+    for x in range(ground.size):
+        for y in range(ground.size):
+            a, b = 1 << x, 1 << y
+            if x != y and scores[a] > scores[b] and not (sig[b] & ~sig[a] == 0 and sig[a] != sig[b]):
+                out.append((ground.options[x], ground.options[y], "singleton"))
+    return out
+
+
+def composition_reference(model, sig: np.ndarray, scores: np.ndarray) -> list[tuple]:
+    """Ungated composition scan: every within-type pair (C, D), all menu
+    pairs (A, B) at once; no sampling (n <= 6 here)."""
+    ground = model.ground
+    masks = np.arange(1 << ground.size, dtype=np.int64)
+    within = sorted(s for t in model.structure.types.block_masks() for s in _submasks(t))
+    out = []
+    for c in within:
+        for d in within:
+            if scores[c] < scores[d]:
+                continue
+            a_idx = np.flatnonzero(((masks & c) == 0) & ((sig[c] & ~sig) != 0) & (masks != 0))
+            b_idx = np.flatnonzero(((masks & d) == 0) & (masks != 0))
+            viol = (scores[a_idx][:, None] >= scores[b_idx][None, :]) & (
+                scores[a_idx | c][:, None] < scores[b_idx | d][None, :]
+            )
+            for ai, bi in np.argwhere(viol):
+                out.append((ground.menu_key(int(a_idx[ai])), ground.menu_key(int(b_idx[bi])),
+                            ground.menu_key(c), ground.menu_key(d)))
+    return out
+
+
+def test_exp_gate_flags_exactly_the_families_with_witnesses_on_census_4():
+    ground = GroundSet(("a", "b", "c", "d"))
+    flagged_total = count = 0
+    for cf in enumerate_choice_functions(ground):
+        table = np.array(cf.choices, dtype=np.int8)
+        flagged = {x for x in range(ground.size) if not _union_closed(table, x)}
+        witnessed = {ground.index[w[2]] for w in exp_reference(cf)}
+        assert flagged == witnessed, cf.choices
+        flagged_total += len(flagged)
+        count += 1
+    assert count == 20_736
+    assert 0 < flagged_total < 4 * count
+
+
+def test_gated_exp_lists_the_reference_witnesses(rng):
+    """At n = 8 families of more than 64 menus go through the gate; a few
+    flipped choices open some of them and leave others closed."""
+    gated = 0
+    for _ in range(12):
+        ground = ground_of_size(8)
+        table = list(choice_from_order(random_order(rng, ground)).choices)
+        for _ in range(rng.randrange(4)):
+            mask = rng.randrange(3, 1 << ground.size)
+            table[mask] = rng.choice([i for i in range(ground.size) if mask >> i & 1])
+        cf = ChoiceFunction(ground, tuple(table))
+        reference = exp_reference(cf)
+        verdict = check_exp(cf, cap=10**9)
+        assert verdict.violations == tuple(reference)
+        assert verdict.holds == (not reference)
+        gated += sum(1 for x in range(ground.size)
+                     if table.count(x) * (table.count(x) - 1) // 2 > 8 << 8)
+    assert gated > 0
+
+
+def test_exp_holds_on_a_clean_order_at_14_options(rng):
+    ground = ground_of_size(14)
+    verdict = check_exp(choice_from_order(random_order(rng, ground)))
+    assert verdict.holds and verdict.violations == () and not verdict.truncated
+
+
+def _menu_models(rng, count: int):
+    """Random single-peaked freedom models on 2-6 options; even draws are
+    scored by the freedom ranking, odd ones by random menu scores."""
+    for k in range(count):
+        model = freedom_model(random_single_peaked_structure(rng, ground_of_size(2 + k % 5)))
+        size = 1 << model.ground.size
+        if k % 2 == 0:
+            yield model, freedom_ranking(model)
+        else:
+            top = rng.choice((2, 3, size))
+            yield model, MenuPreference(model.ground, tuple(rng.randrange(top) for _ in range(size)))
+
+
+def test_menu_axiom_gates_flag_exactly_the_units_with_witnesses(rng):
+    violated = {"R-Dominance": 0, "R-Composition": 0}
+    for model, pref in _menu_models(rng, 300):
+        ground = model.ground
+        sig = _satisfaction_signature(model)
+        scores = np.asarray(pref.scores, dtype=np.int64)
+        rank = np.unique(scores, return_inverse=True)[1]
+        dominance, composition = check_menu_axioms(model, pref, cap=10**9)
+
+        dom_ref = dominance_reference(ground, sig, scores)
+        assert dominance.violations == tuple(dom_ref)
+        flagged = {int(a) for a in _dominance_open_menus(sig, rank)}
+        assert flagged == {ground.parse_menu_key(w[0]) for w in dom_ref if w[2] != "singleton"}
+
+        comp_ref = composition_reference(model, sig, scores)
+        assert composition.violations == tuple(comp_ref)
+        within = sorted(s for t in model.structure.types.block_masks() for s in _submasks(t))
+        masks = np.arange(1 << ground.size, dtype=np.int64)
+        is_open = _composition_open_pairs(within, masks, sig, rank)
+        flagged = {
+            (c, d)
+            for i, c in enumerate(within)
+            for j, d in enumerate(within)
+            if scores[c] >= scores[d] and is_open[i, j]
+        }
+        assert flagged == {(ground.parse_menu_key(w[2]), ground.parse_menu_key(w[3]))
+                           for w in comp_ref}
+
+        violated["R-Dominance"] += not dominance.holds
+        violated["R-Composition"] += not composition.holds
+    assert min(violated.values()) > 20, violated
