@@ -25,10 +25,10 @@ from .core import (
     ChoiceModelError,
     GroundSet,
     MalformedKeyError,
+    choice_function_doc,
     enumerate_choice_functions,
     parse_choice_function,
     parse_structure_json,
-    serialize_choice_function,
 )
 from .culture import (
     CultureParams,
@@ -175,7 +175,7 @@ def cmd_simulate_culture(args: argparse.Namespace) -> int:
     if args.trajectory_out:
         _write(args.trajectory_out, outcome.trajectory_csv())
     doc = json.loads(outcome.summary_json())
-    if args.consistency_grid:
+    if args.consistency_grid is not None:
         doc["consistency"] = json.loads(
             culture_rsc_consistency(params, args.consistency_grid).to_json()
         )
@@ -191,6 +191,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         p_values = _parse_range(args.p_range) if args.p_range else None
         lines.append("p,lambda,menu,chosen,u_own_moderate,v_opposite_extreme,pstar")
         grid = []
+        if args.samples is not None and args.samples < 0:
+            raise InvalidRangeError(f"--samples must be nonnegative, got {args.samples}")
         if args.samples:
             for _ in range(args.samples):
                 lam = rng.uniform(0.5 + 1e-9, 0.75 - 1e-9)
@@ -234,6 +236,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise InvalidRangeError(f"--limit must be nonnegative, got {args.limit}")
     ground = GroundSet(tuple(args.options.split(",")))
     if args.count_only:
         count = sum(1 for _ in enumerate_choice_functions(ground))
@@ -243,7 +247,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     for k, cf in enumerate(enumerate_choice_functions(ground)):
         if args.limit is not None and k >= args.limit:
             break
-        chunks.append(json.dumps(json.loads(serialize_choice_function(cf))))
+        chunks.append(json.dumps(choice_function_doc(cf)))
     _emit("\n".join(chunks) + ("\n" if chunks else ""), args.out)
     return 0
 

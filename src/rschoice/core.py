@@ -6,7 +6,16 @@ Everything downstream (revealed relations, axiom checks, structure
 synthesis) consumes these values, so they are immutable and cheap to hash.
 
 Canonical textual menu keys (for the JSON/CSV file formats) list the member
-identifiers sorted by ground-set position, joined by ``,``.
+identifiers sorted by ground-set position, joined by ``,``.  Each ground set
+builds the keys of all its 2^n masks once, on first use, into
+``GroundSet.menu_keys``: the key of a mask extends the key of the mask without
+its top bit, so the table costs 2^n string joins.  Parsing, serializing and
+the freedom table read this one table, and so does ``GroundSet.menu_key`` (the
+witness keys) once it is built; before that, a single key is joined on its
+own, so a few witnesses at large n do not build 2^n keys.  Parsing compares
+each key with the table entry its position in a canonical file would have and
+falls back to a key-to-mask dict, then to ``GroundSet.parse_menu_key``, only
+for keys out of that order or not in canonical form.
 """
 
 from __future__ import annotations
@@ -15,6 +24,8 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import Iterator
 
 MENU_KEY_SEPARATOR = ","
@@ -119,8 +130,18 @@ class GroundSet:
         """Option identifiers in a menu mask, in ground-set order."""
         return tuple(self.options[i] for i in iter_bits(mask))
 
+    @cached_property
+    def menu_keys(self) -> tuple[str, ...]:
+        """``menu_keys[mask]`` is the canonical key of ``mask`` ("" for 0)."""
+        keys = [""]
+        for label in self.options:
+            tail = MENU_KEY_SEPARATOR + label
+            keys += [label, *[key + tail for key in keys[1:]]]
+        return tuple(keys)
+
     def menu_key(self, mask: int) -> str:
-        return MENU_KEY_SEPARATOR.join(self.members(mask))
+        keys = self.__dict__.get("menu_keys")
+        return keys[mask] if keys is not None else MENU_KEY_SEPARATOR.join(self.members(mask))
 
     def parse_menu_key(self, key: str) -> int:
         parts = key.split(MENU_KEY_SEPARATOR)
@@ -254,15 +275,6 @@ class ChoiceFunction:
             raise MalformedKeyError("empty menu")
         return self.ground.options[self.choices[mask]]
 
-    @classmethod
-    def from_assignment(cls, ground: GroundSet, assignment: dict[int, int]) -> "ChoiceFunction":
-        table = [-1] * (1 << ground.size)
-        for mask in range(1, 1 << ground.size):
-            if mask not in assignment:
-                raise MissingMenuError(f"menu {ground.menu_key(mask)!r} has no entry")
-            table[mask] = assignment[mask]
-        return cls(ground, tuple(table))
-
 
 def choice_from_order(order: LinearOrder) -> ChoiceFunction:
     """Choice by maximization of a single linear order (satisfies IIA)."""
@@ -317,6 +329,15 @@ def _decode(text: bytes | str) -> str:
         raise MalformedKeyError(f"input is not UTF-8: {exc}") from exc
 
 
+def _load_json(text: str, **kwargs):
+    try:
+        return json.loads(text, **kwargs)
+    except json.JSONDecodeError as exc:
+        raise MalformedKeyError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise MalformedKeyError("invalid JSON: nested too deeply") from exc
+
+
 def _labels(value, what: str) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise InvalidGroundSetError(f"{what} must be a list of option labels")
@@ -324,83 +345,92 @@ def _labels(value, what: str) -> tuple[str, ...]:
 
 
 def _reject_duplicate_keys(pairs):
-    seen = set()
-    for key, _ in pairs:
-        if key in seen:
-            raise DuplicateMenuError(f"duplicate menu key {key!r}")
-        seen.add(key)
-    return dict(pairs)
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise DuplicateMenuError(f"duplicate menu key {key!r}")
+            seen.add(key)
+    return doc
 
 
-def _function_from_entries(ground: GroundSet, entries: list[tuple[str, str]]) -> ChoiceFunction:
-    assignment: dict[int, int] = {}
-    for key, chosen in entries:
-        mask = ground.parse_menu_key(key)
+def _function_from_entries(ground: GroundSet, entries) -> ChoiceFunction:
+    """Check ``(menu key, chosen label)`` entries in order; build the function.
+
+    The i-th entry of a canonical file has key ``menu_keys[i]``; any other
+    key is looked up in a key-to-mask dict built on the first such key, and
+    one missing there (not canonical, or malformed) goes to ``parse_menu_key``.
+    """
+    keys = ground.menu_keys
+    index = ground.index
+    table = [-1] * len(keys)
+    mask_of = None
+    for mask, (key, chosen) in enumerate(entries, 1):
+        if mask >= len(keys) or keys[mask] != key:
+            if mask_of is None:
+                mask_of = dict(zip(keys[1:], range(1, len(keys))))
+            mask = mask_of.get(key) or ground.parse_menu_key(key)
         if not isinstance(chosen, str):
             raise MalformedKeyError(f"choice from {key!r} must be an option label, got {chosen!r}")
-        if mask in assignment:
+        if table[mask] != -1:
             raise DuplicateMenuError(f"duplicate menu key {key!r}")
-        pos = ground.index.get(chosen)
+        pos = index.get(chosen)
         if pos is None:
             raise UnknownOptionError(f"unknown option {chosen!r} chosen from {key!r}")
         if not (mask >> pos) & 1:
             raise ChoiceOutsideMenuError(f"choice {chosen!r} is outside menu {key!r}")
-        assignment[mask] = pos
-    return ChoiceFunction.from_assignment(ground, assignment)
+        table[mask] = pos
+    if len(entries) < len(keys) - 1:
+        raise MissingMenuError(f"menu {keys[table.index(-1, 1)]!r} has no entry")
+    return ChoiceFunction(ground, tuple(table))
 
 
 def parse_choice_function(text: bytes | str, format: str = "json") -> ChoiceFunction:
     """Parse and validate a choice function from JSON or CSV bytes."""
     text = _decode(text)
     if format == "json":
-        try:
-            doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
-        except json.JSONDecodeError as exc:
-            raise MalformedKeyError(f"invalid JSON: {exc}") from exc
+        doc = _load_json(text, object_pairs_hook=_reject_duplicate_keys)
         if not isinstance(doc, dict) or "options" not in doc or "choices" not in doc:
             raise MalformedKeyError("expected an object with 'options' and 'choices'")
         options = _labels(doc["options"], "'options'")
         if not isinstance(doc["choices"], dict):
             raise MalformedKeyError("'choices' must be an object mapping menu keys to options")
         ground = GroundSet(options)
-        entries = list(doc["choices"].items())
+        entries = doc["choices"].items()
     elif format == "csv":
         reader = csv.reader(io.StringIO(text))
         rows = [row for row in reader if row]
         if not rows or [c.strip() for c in rows[0]] != ["menu", "choice"]:
             raise MalformedKeyError("CSV must start with header 'menu,choice'")
-        body = rows[1:]
-        options: list[str] = []
-        seen = set()
-        for row in body:
+        entries = rows[1:]
+        for row in entries:
             if len(row) != 2:
                 raise MalformedKeyError(f"CSV row {row!r} does not have 2 fields")
-            for name in row[0].split(MENU_KEY_SEPARATOR):
-                if name not in seen:
-                    seen.add(name)
-                    options.append(name)
-        ground = GroundSet(tuple(options))
-        entries = [(row[0], row[1]) for row in body]
+        # Options in order of first appearance across the keys.
+        names = chain.from_iterable(row[0].split(MENU_KEY_SEPARATOR) for row in entries)
+        ground = GroundSet(tuple(dict.fromkeys(names)))
     else:
         raise MalformedKeyError(f"unknown format {format!r}")
     return _function_from_entries(ground, entries)
 
 
+def choice_function_doc(cf: ChoiceFunction) -> dict:
+    """JSON document of ``cf``: its options, then its menus in ascending bit pattern."""
+    ground = cf.ground
+    chosen = map(ground.options.__getitem__, cf.choices[1:])
+    return {"options": list(ground.options), "choices": dict(zip(ground.menu_keys[1:], chosen))}
+
+
 def serialize_choice_function(cf: ChoiceFunction, format: str = "json") -> str:
     """Canonical textual form; menus in ascending bit-pattern order."""
-    ground = cf.ground
-    items = [
-        (ground.menu_key(mask), ground.options[cf.choices[mask]])
-        for mask in enumerate_menus(ground)
-    ]
     if format == "json":
-        doc = {"options": list(ground.options), "choices": dict(items)}
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(choice_function_doc(cf), indent=2) + "\n"
     if format == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["menu", "choice"])
-        writer.writerows(items)
+        writer.writerows(choice_function_doc(cf)["choices"].items())
         return out.getvalue()
     raise MalformedKeyError(f"unknown format {format!r}")
 
@@ -413,11 +443,7 @@ def parse_structure_json(text: bytes | str):
     """
     from .structure import RSStructure
 
-    text = _decode(text)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedKeyError(f"invalid JSON: {exc}") from exc
+    doc = _load_json(_decode(text))
     if not isinstance(doc, dict):
         raise MalformedKeyError("expected an object with 'types', 'welfare' and 'reaction'")
     for key in ("types", "welfare", "reaction"):

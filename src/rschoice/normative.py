@@ -478,7 +478,6 @@ def freedom_table_csv(model: FreedomModel) -> str:
     """CSV of n(A) for every menu, ascending bit pattern."""
     ground = model.ground
     scores = freedom_ranking(model).scores
-    lines = ["menu,n"] + [
-        f"{ground.menu_key(mask)},{scores[mask]}" for mask in range(1, ground.full_mask + 1)
-    ]
+    keys = ground.menu_keys
+    lines = ["menu,n"] + [f"{keys[mask]},{scores[mask]}" for mask in range(1, len(keys))]
     return "\n".join(lines) + "\n"

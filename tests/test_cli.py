@@ -5,7 +5,12 @@ import json
 import pytest
 
 from rschoice.cli import main
-from rschoice.core import serialize_choice_function, serialize_structure_json
+from rschoice.core import (
+    GroundSet,
+    enumerate_choice_functions,
+    serialize_choice_function,
+    serialize_structure_json,
+)
 from rschoice.fixtures import detergent_choice, worked_structure
 from rschoice.axioms import tsm_choice, tsm_fixture_nrs_violation
 
@@ -171,6 +176,18 @@ def test_enumerate_stream_limit(capsys):
     assert docs[0]["choices"]["x,y"] in ("x", "y")
 
 
+def test_enumerate_lines_match_the_compacted_serialization(capsys):
+    code, out, _ = run(capsys, "enumerate", "--options", "x,y,z")
+    ground = GroundSet(("x", "y", "z"))
+    expected = [
+        json.dumps(json.loads(serialize_choice_function(cf)))
+        for cf in enumerate_choice_functions(ground)
+    ]
+    assert code == 0
+    assert out.splitlines() == expected
+    assert len(expected) == 24
+
+
 def test_missing_file_is_a_coded_error(capsys):
     code, _, err = run(capsys, "check-axioms", "/no/such/file.json")
     assert code == 2
@@ -238,6 +255,36 @@ def test_trajectory_out_naming_a_directory_is_a_coded_error(capsys, tmp_path):
         "--trajectory-out", str(tmp_path),
     )
     _assert_one_coded_error(*result, "invalid-output-path")
+
+
+def test_consistency_grid_zero_is_rejected_like_other_small_grids(capsys):
+    base = [
+        "simulate-culture",
+        "--beta", "2", "--g-hat", "2", "--v-hat", "2", "--lambda-r", "2",
+        "--g", "1", "--q0", "0.3", "--horizon", "1",
+    ]
+    for grid in ("0", "9"):
+        _assert_one_coded_error(*run(capsys, *base, "--consistency-grid", grid), "invalid-params")
+
+
+def test_negative_media_samples_are_rejected(capsys):
+    _assert_one_coded_error(*run(capsys, "sweep", "media", "--samples", "-2"), "invalid-range")
+    # --samples 0 still means "no random draws": the --p-range grid runs.
+    code, out, _ = run(capsys, "sweep", "media", "--samples", "0", "--p-range", "0.1:0.2:2")
+    assert code == 0
+    assert len(out.splitlines()) == 3
+    _assert_one_coded_error(*run(capsys, "sweep", "media", "--samples", "0"), "invalid-range")
+
+
+def test_negative_enumerate_limit_is_rejected(capsys):
+    result = run(capsys, "enumerate", "--options", "x,y", "--limit", "-1")
+    _assert_one_coded_error(*result, "invalid-range")
+
+
+def test_deeply_nested_json_is_a_coded_error(capsys, tmp_path):
+    text = "[" * 100_000
+    _assert_one_coded_error(*_check_axioms_on(capsys, tmp_path, text), "malformed-key")
+    _assert_one_coded_error(*_freedom_on(capsys, tmp_path, text), "malformed-key")
 
 
 def _freedom_on(capsys, tmp_path, text):
