@@ -10,12 +10,10 @@ identifiers sorted by ground-set position, joined by ``,``.  Each ground set
 builds the keys of all its 2^n masks once, on first use, into
 ``GroundSet.menu_keys``: the key of a mask extends the key of the mask without
 its top bit, so the table costs 2^n string joins.  Parsing, serializing and
-the freedom table read this one table, and so does ``GroundSet.menu_key`` (the
-witness keys) once it is built; before that, a single key is joined on its
-own, so a few witnesses at large n do not build 2^n keys.  Parsing compares
-each key with the table entry its position in a canonical file would have and
-falls back to a key-to-mask dict, then to ``GroundSet.parse_menu_key``, only
-for keys out of that order or not in canonical form.
+the freedom table read this one table.  Parsing compares each key with the
+table entry its position in a canonical file would have and falls back to
+``GroundSet.parse_menu_key`` only for keys out of that order or not in
+canonical form.
 """
 
 from __future__ import annotations
@@ -140,8 +138,7 @@ class GroundSet:
         return tuple(keys)
 
     def menu_key(self, mask: int) -> str:
-        keys = self.__dict__.get("menu_keys")
-        return keys[mask] if keys is not None else MENU_KEY_SEPARATOR.join(self.members(mask))
+        return MENU_KEY_SEPARATOR.join(self.members(mask))
 
     def parse_menu_key(self, key: str) -> int:
         parts = key.split(MENU_KEY_SEPARATOR)
@@ -358,19 +355,18 @@ def _reject_duplicate_keys(pairs):
 def _function_from_entries(ground: GroundSet, entries) -> ChoiceFunction:
     """Check ``(menu key, chosen label)`` entries in order; build the function.
 
-    The i-th entry of a canonical file has key ``menu_keys[i]``; any other
-    key is looked up in a key-to-mask dict built on the first such key, and
-    one missing there (not canonical, or malformed) goes to ``parse_menu_key``.
+    The i-th entry of a canonical file has key ``menu_keys[i]``; any other key
+    (out of that order, not canonical, or malformed) goes to
+    ``parse_menu_key``.  Only a file with one entry per nonempty menu can be
+    complete, so only then is the key table built; a file with any other
+    count fails below, and its keys are all parsed one by one.
     """
-    keys = ground.menu_keys
+    keys = ground.menu_keys if len(entries) == ground.full_mask else None
     index = ground.index
-    table = [-1] * len(keys)
-    mask_of = None
+    table = [-1] * (ground.full_mask + 1)
     for mask, (key, chosen) in enumerate(entries, 1):
-        if mask >= len(keys) or keys[mask] != key:
-            if mask_of is None:
-                mask_of = dict(zip(keys[1:], range(1, len(keys))))
-            mask = mask_of.get(key) or ground.parse_menu_key(key)
+        if keys is None or keys[mask] != key:
+            mask = ground.parse_menu_key(key)
         if not isinstance(chosen, str):
             raise MalformedKeyError(f"choice from {key!r} must be an option label, got {chosen!r}")
         if table[mask] != -1:
@@ -381,8 +377,8 @@ def _function_from_entries(ground: GroundSet, entries) -> ChoiceFunction:
         if not (mask >> pos) & 1:
             raise ChoiceOutsideMenuError(f"choice {chosen!r} is outside menu {key!r}")
         table[mask] = pos
-    if len(entries) < len(keys) - 1:
-        raise MissingMenuError(f"menu {keys[table.index(-1, 1)]!r} has no entry")
+    if keys is None:
+        raise MissingMenuError(f"menu {ground.menu_key(table.index(-1, 1))!r} has no entry")
     return ChoiceFunction(ground, tuple(table))
 
 

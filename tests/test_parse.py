@@ -249,3 +249,23 @@ def test_parser_matches_reference_on_every_error_path():
 ])
 def test_parser_matches_reference_on_malformed_documents(fmt, text):
     _assert_same(text, fmt)
+
+
+def test_wrong_entry_count_is_rejected_without_building_the_key_table(monkeypatch):
+    # At n = 20 the table would hold 2^20 keys (about 110 MB); a file with
+    # fewer entries than menus must fail on its own keys alone.
+    def unbuilt(self):
+        raise AssertionError("key table built for a file with the wrong entry count")
+
+    monkeypatch.setattr(GroundSet, "menu_keys", property(unbuilt))
+    labels = [f"o{i}" for i in range(20)]
+    full = ",".join(labels)
+    documents = [
+        ("json", json.dumps({"options": labels, "choices": {}})),
+        ("json", json.dumps({"options": labels, "choices": {full: "o3", "o1,o0": "o0"}})),
+        ("csv", _render(labels, [[full, "o0"]], "csv")),
+    ]
+    for fmt, text in documents:
+        with pytest.raises(MissingMenuError, match="^menu 'o0' has no entry$"):
+            parse_choice_function(text, fmt)
+        _assert_same(text, fmt)
