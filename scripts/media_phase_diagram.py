@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from rschoice.media import MediaParams, media_menu_choice, media_pstar
+from rschoice.media import SOURCES, media_pstar, media_sweep
 
 
 def main() -> int:
@@ -23,18 +23,16 @@ def main() -> int:
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
 
+    p_axis = [0.5 * (i + 0.5) / args.grid for i in range(args.grid)]
+    lam_axis = [0.5 + 0.25 * (j + 0.5) / args.grid for j in range(args.grid)]
+    ps = p_axis * args.grid
+    lams = [lam for lam in lam_axis for _ in p_axis]
+    chosen, u_own, v_extreme = media_sweep(ps, lams, "N")
     lines = ["p,lambda,chosen,u_own_moderate,v_opposite_extreme,pstar"]
-    for j in range(args.grid):
-        lam = 0.5 + 0.25 * (j + 0.5) / args.grid
-        for i in range(args.grid):
-            p = 0.5 * (i + 0.5) / args.grid
-            out = media_menu_choice(MediaParams(p=p, lam=lam), "N")
-            lines.append(
-                f"{p:.8f},{lam:.8f},{out.chosen_source},"
-                f"{out.expected_payoffs['sigmaL'][0]:.10f},"
-                f"{out.expected_payoffs['sigmaRR'][1]:.10f},"
-                f"{media_pstar(lam):.10f}"
-            )
+    for p, lam, c, u, v in zip(ps, lams, chosen.tolist(), u_own.tolist(), v_extreme.tolist()):
+        lines.append(
+            f"{p:.8f},{lam:.8f},{SOURCES[c]},{u:.10f},{v:.10f},{media_pstar(lam):.10f}"
+        )
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

@@ -32,20 +32,35 @@ from .core import (
 )
 from .culture import (
     CultureParams,
+    check_consistency_grid,
     culture_dynamics,
     culture_rsc_consistency,
     steady_state,
 )
-from .media import InvalidParamsError, MediaParams, media_menu_choice, media_pstar
+from .media import (
+    SOURCES,
+    InvalidParamsError,
+    MediaParams,
+    media_menu_choice,
+    media_pstar,
+    media_sweep,
+)
 from .normative import freedom_model, freedom_table_csv, welfare_report
 from .revealed import reaction_crosscheck, reveal
 from .structure import certify_single_peaked, synthesis_report_json, synthesize_rs
 
 SEED_ENV_VAR = "RSCHOICE_SEED"
+#: Most points one sweep may evaluate: any single ``LO:HI:N`` count, a
+#: grid's product of counts, or ``--samples``.
+MAX_SWEEP_POINTS = 1_000_000
 
 
 class InvalidRangeError(ChoiceModelError):
     code = "invalid-range"
+
+
+class PointBudgetError(ChoiceModelError):
+    code = "too-many-points"
 
 
 class OutputPathError(ChoiceModelError):
@@ -81,8 +96,13 @@ def _load_choice(args: argparse.Namespace) -> ChoiceFunction:
     return parse_choice_function(_read_input(args.input), args.format)
 
 
+def _check_points(count: int, what: str) -> None:
+    if count > MAX_SWEEP_POINTS:
+        raise PointBudgetError(f"{what} has {count} points, over the budget of {MAX_SWEEP_POINTS}")
+
+
 def _parse_range(spec: str) -> list[float]:
-    """LO:HI:N inclusive grid; N >= 1."""
+    """LO:HI:N inclusive grid; 1 <= N <= MAX_SWEEP_POINTS."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise InvalidRangeError(f"range must be LO:HI:N, got {spec!r}")
@@ -92,6 +112,7 @@ def _parse_range(spec: str) -> list[float]:
         raise InvalidRangeError(f"range must be numeric, got {spec!r}") from exc
     if count < 1 or hi < lo:
         raise InvalidRangeError(f"empty range {spec!r}")
+    _check_points(count, f"range {spec!r}")
     if count == 1:
         return [lo]
     step = (hi - lo) / (count - 1)
@@ -171,6 +192,8 @@ def cmd_simulate_culture(args: argparse.Namespace) -> int:
         dt=args.dt,
         horizon=args.horizon,
     )
+    if args.consistency_grid is not None:
+        check_consistency_grid(args.consistency_grid)
     outcome = culture_dynamics(params, record_every=args.record_every)
     if args.trajectory_out:
         _write(args.trajectory_out, outcome.trajectory_csv())
@@ -190,31 +213,33 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         lam_values = _parse_range(args.lambda_range)
         p_values = _parse_range(args.p_range) if args.p_range else None
         lines.append("p,lambda,menu,chosen,u_own_moderate,v_opposite_extreme,pstar")
-        grid = []
+        ps: list[float] = []
+        lams: list[float] = []
         if args.samples is not None and args.samples < 0:
             raise InvalidRangeError(f"--samples must be nonnegative, got {args.samples}")
         if args.samples:
+            _check_points(args.samples, "--samples")
             for _ in range(args.samples):
-                lam = rng.uniform(0.5 + 1e-9, 0.75 - 1e-9)
-                p = rng.uniform(1e-9, 0.5 - 1e-9)
-                grid.append((p, lam))
+                lams.append(rng.uniform(0.5 + 1e-9, 0.75 - 1e-9))
+                ps.append(rng.uniform(1e-9, 0.5 - 1e-9))
         else:
             if p_values is None:
                 raise InvalidRangeError("media sweep needs --p-range or --samples")
-            grid = [(p, lam) for lam in lam_values for p in p_values]
-        for p, lam in grid:
-            out = media_menu_choice(MediaParams(p=p, lam=lam), args.menu)
-            u_l = out.expected_payoffs["sigmaL"][0]
-            v_rr = out.expected_payoffs["sigmaRR"][1]
+            _check_points(len(lam_values) * len(p_values), "the --lambda-range x --p-range grid")
+            ps = p_values * len(lam_values)
+            lams = [lam for lam in lam_values for _ in p_values]
+        chosen, u_l, v_rr = media_sweep(ps, lams, args.menu)
+        for p, lam, c, u, v in zip(ps, lams, chosen.tolist(), u_l.tolist(), v_rr.tolist()):
             lines.append(
-                f"{p:.10f},{lam:.10f},{args.menu},{out.chosen_source},"
-                f"{u_l:.12f},{v_rr:.12f},{media_pstar(lam):.12f}"
+                f"{p:.10f},{lam:.10f},{args.menu},{SOURCES[c]},"
+                f"{u:.12f},{v:.12f},{media_pstar(lam):.12f}"
             )
     else:
         if args.g_range is None:
             raise InvalidRangeError("culture sweep needs --g-range")
         g_values = _parse_range(args.g_range)
         lr_values = _parse_range(args.lambda_r_range) if args.lambda_r_range else [args.lambda_r]
+        _check_points(len(lr_values) * len(g_values), "the --lambda-r-range x --g-range grid")
         lines.append("g,lambda_r,q_star")
         for lr in lr_values:
             for g in g_values:

@@ -15,6 +15,13 @@ Population shares follow the replicator-style flow
 ``q* = (V(g)/g) / (V(1) + V(g)/g)``.  ``culture_rsc_consistency`` checks
 that the two-order structure, evaluated by the shared kernel
 ``structure.two_stage_choice``, reproduces direct maximization.
+
+``culture_dynamics`` integrates the flow with fixed-step RK4 and stops at
+the first step that returns its input exactly.  That stop is exact: the
+flow is autonomous and ``dt`` is fixed, so a step is a pure function of
+``q`` and every later step would return the same ``q``.  Runs whose
+``round(horizon / dt)`` exceeds ``MAX_CULTURE_STEPS``, and consistency
+lattices above ``MAX_CONSISTENCY_GRID``, are rejected before any work.
 """
 
 from __future__ import annotations
@@ -30,6 +37,22 @@ from .structure import two_stage_choice
 
 class NotInteriorAtGhatError(ChoiceModelError):
     code = "not-interior-at-ghat"
+
+
+class StepBudgetError(ChoiceModelError):
+    code = "too-many-steps"
+
+
+class GridBudgetError(ChoiceModelError):
+    code = "grid-too-large"
+
+
+#: Most RK4 steps one ``culture_dynamics`` run may take: 50 times the CLI
+#: default of 200 / 0.01.
+MAX_CULTURE_STEPS = 1_000_000
+#: Largest ``culture_rsc_consistency`` lattice.  Its cost grows faster than
+#: linearly: 1.6 s and 70 MB peak at 100 000, 78 s and 400 MB at 10^6.
+MAX_CONSISTENCY_GRID = 100_000
 
 
 @dataclass(frozen=True)
@@ -65,6 +88,18 @@ class CultureParams:
             raise InvalidParamsError(f"initial share q0 must lie in (0, 1), got {self.q0}")
         if not self.dt > 0.0 or not self.horizon > 0.0:
             raise InvalidParamsError("dt and horizon must be positive")
+        if not math.isfinite(self.dt) or not math.isfinite(self.horizon):
+            raise InvalidParamsError("dt and horizon must be finite")
+        ratio = self.horizon / self.dt
+        if ratio == math.inf or round(ratio) > MAX_CULTURE_STEPS:
+            raise StepBudgetError(
+                f"horizon / dt = {ratio:.6g} steps is over the budget of {MAX_CULTURE_STEPS}"
+            )
+
+    @property
+    def steps(self) -> int:
+        """RK4 steps of one ``culture_dynamics`` run."""
+        return int(round(self.horizon / self.dt))
 
 
 @dataclass(frozen=True)
@@ -195,6 +230,12 @@ def culture_dynamics(params: CultureParams, record_every: int = 1) -> CultureOut
     The trajectory records every ``record_every``-th step (plus the final
     point).  ``converged`` flags agreement of the endpoint with the
     analytic rest point to 1e-6.
+
+    The flow is autonomous and ``dt`` is fixed, so one step is a pure
+    function of ``q``.  Once a step returns its input exactly (``q`` is
+    never -0.0, so ``==`` means equal bits), every later step would return
+    it too: the loop stops there and records the remaining points with that
+    ``q``.  The result is bit-identical to running every step.
     """
     if record_every < 1:
         raise InvalidParamsError("record_every must be a positive integer")
@@ -208,11 +249,11 @@ def culture_dynamics(params: CultureParams, record_every: int = 1) -> CultureOut
         d_mj = effort(beta, v_hat, 1.0, 1.0 - q)
         return q * (1.0 - q) * (d_m - d_mj)
 
-    steps = int(round(params.horizon / params.dt))
-    dt = params.dt
+    steps, dt = params.steps, params.dt
     q = params.q0
     trajectory = [(0.0, q)]
     for k in range(steps):
+        q_prev = q
         k1 = rhs(q)
         k2 = rhs(q + 0.5 * dt * k1)
         k3 = rhs(q + 0.5 * dt * k2)
@@ -221,6 +262,12 @@ def culture_dynamics(params: CultureParams, record_every: int = 1) -> CultureOut
         q = min(max(q, 0.0), 1.0)
         if (k + 1) % record_every == 0 or k == steps - 1:
             trajectory.append(((k + 1) * dt, q))
+        if q == q_prev:
+            tail = range(((k + 1) // record_every + 1) * record_every - 1, steps - 1, record_every)
+            trajectory.extend(((j + 1) * dt, q) for j in tail)
+            if k < steps - 1:
+                trajectory.append((steps * dt, q))
+            break
 
     q_star = steady_state(params)
     try:
@@ -289,6 +336,16 @@ class ConsistencyReport:
         return json.dumps(doc, indent=2) + "\n"
 
 
+def check_consistency_grid(grid_n: int) -> None:
+    """Reject a ``culture_rsc_consistency`` lattice size before any work."""
+    if grid_n < 10:
+        raise InvalidParamsError(f"grid_n must be at least 10, got {grid_n}")
+    if grid_n > MAX_CONSISTENCY_GRID:
+        raise GridBudgetError(
+            f"grid_n {grid_n} is over the budget of {MAX_CONSISTENCY_GRID}"
+        )
+
+
 def culture_rsc_consistency(
     params: CultureParams,
     grid_n: int,
@@ -321,8 +378,7 @@ def culture_rsc_consistency(
     ``g_values`` defaults to 10 evenly spaced policies from 1 to twice the
     corner-crossing policy.
     """
-    if grid_n < 10:
-        raise InvalidParamsError(f"grid_n must be at least 10, got {grid_n}")
+    check_consistency_grid(grid_n)
     import numpy as np
 
     beta, ghat, vhat, lr = params.beta, params.g_hat, params.v_hat, params.lambda_r

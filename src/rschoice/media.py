@@ -14,12 +14,22 @@ cost nothing) govern the second stage.  Both stages are the shared kernel
 The crossing prior at which the extreme opposite source overtakes the
 moderate own-biased one in the reduced menu has the closed form
 ``(1/2) / (5/2 - 2*lambda)``.
+
+``media_menu_choice`` decides one point.  ``media_sweep`` decides many
+(prior, precision) points in one numpy pass and backs ``sweep media`` and
+the phase-diagram script.  It is exact, not approximate: numpy's float64
+add, multiply and divide round like Python's, and the kernel repeats the
+scalar operations in the same order (no reassociation, no closed form for
+the crossing), so every value and every exact tie at the crossing come out
+bit for bit as on the scalar path.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .core import ChoiceModelError
 from .structure import two_stage_choice
@@ -87,13 +97,19 @@ class SignalSource:
                 raise InvalidParamsError(f"likelihood rows of {self.id} must sum to 1")
 
 
-def signal_sources(params: MediaParams) -> dict[str, SignalSource]:
-    lam, delta = params.lam, params.delta
+def _likelihoods(lam, delta):
+    """Likelihood rows per source; ``lam`` may be a float or a numpy array."""
     return {
-        "sigmaL": SignalSource("sigmaL", ((1.0, 0.0), (1.0 - lam, lam))),
-        "sigmaR": SignalSource("sigmaR", ((lam, 1.0 - lam), (0.0, 1.0))),
-        "sigmaLL": SignalSource("sigmaLL", ((1.0, 0.0), (1.0 - delta, delta))),
-        "sigmaRR": SignalSource("sigmaRR", ((delta, 1.0 - delta), (0.0, 1.0))),
+        "sigmaL": ((1.0, 0.0), (1.0 - lam, lam)),
+        "sigmaR": ((lam, 1.0 - lam), (0.0, 1.0)),
+        "sigmaLL": ((1.0, 0.0), (1.0 - delta, delta)),
+        "sigmaRR": ((delta, 1.0 - delta), (0.0, 1.0)),
+    }
+
+
+def signal_sources(params: MediaParams) -> dict[str, SignalSource]:
+    return {
+        s: SignalSource(s, rows) for s, rows in _likelihoods(params.lam, params.delta).items()
     }
 
 
@@ -226,3 +242,61 @@ def media_menu_choice(
         consideration=consideration,
         menu=menu,
     )
+
+
+def _expected_values(rows, p: np.ndarray, pay: PayoffSpec, reactance: bool) -> np.ndarray:
+    """``expected_value`` at every prior in ``p``, operation for operation.
+
+    ``rows`` are a source's likelihood rows, whose entries may be arrays
+    aligned with ``p``.  Each line repeats the float64 operations of
+    ``_signal_probability``, ``_posterior`` and ``_signal_values`` in the
+    same order, so every element equals the scalar result bit for bit.
+    """
+    total = 0.0
+    for signal in (0, 1):
+        l0, l1 = rows[0][signal], rows[1][signal]
+        prob = (1.0 - p) * l0 + p * l1
+        q = np.divide(p * l1, prob, out=p.copy(), where=prob != 0.0)
+        miss = pay.miss_reactance if reactance else pay.miss
+        value_l = (1.0 - q) * pay.on_target + q * miss
+        value_r = q * pay.on_target + (1.0 - q) * miss
+        take_r = q >= EXTREME_ACTION_CUTOFF if reactance else value_r > value_l
+        total = np.where(prob == 0.0, total, total + prob * np.where(take_r, value_r, value_l))
+    return total
+
+
+def media_sweep(ps, lams, menu: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``media_menu_choice`` at every point ``(ps[i], lams[i])`` in one pass.
+
+    Returns the chosen source's index into ``SOURCES``, u(sigmaL) and
+    v(sigmaRR) as arrays; each element equals the scalar path bit for bit.
+    Stage one depends only on the menu, so its consideration mask comes
+    from one ``structure.two_stage_choice`` call.  Stage two takes the
+    considered sources in reading order and lets a later one win when its
+    value is at least the best so far: the scalar key ``(value, position)``.
+    An invalid point raises the scalar path's error for the first such
+    point in the given order.
+    """
+    ps = np.asarray(ps, dtype=np.float64)
+    lams = np.asarray(lams, dtype=np.float64)
+    bad = ~((0.0 < ps) & (ps < 0.5) & (0.5 < lams) & (lams < 0.75))
+    if bad.any():
+        first = int(np.argmax(bad))
+        MediaParams(p=float(ps[first]), lam=float(lams[first]))  # raises its error
+    if menu not in MENUS:
+        raise InvalidParamsError(f"menu must be 'M' or 'N', got {menu!r}")
+    _, considered = two_stage_choice(TYPE_CHAINS, [0] * len(SOURCES), MENUS[menu])
+    members = [i for i in range(len(SOURCES)) if (considered >> i) & 1]
+    rows = _likelihoods(lams, 0.5)  # MediaParams fixes delta at 1/2
+    pay = PayoffSpec()
+    values = {
+        s: _expected_values(rows[s], ps, pay, reactance=s not in MODERATE)
+        for s in dict.fromkeys([SOURCES[i] for i in members] + ["sigmaL", "sigmaRR"])
+    }
+    chosen = np.full(ps.shape, members[0])
+    best = values[SOURCES[members[0]]]
+    for i in members[1:]:
+        take = values[SOURCES[i]] >= best
+        chosen = np.where(take, i, chosen)
+        best = np.where(take, values[SOURCES[i]], best)
+    return chosen, values["sigmaL"], values["sigmaRR"]

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from rschoice.cli import main
+from rschoice import cli
+from rschoice.cli import MAX_SWEEP_POINTS, main
 from rschoice.core import (
     GroundSet,
     enumerate_choice_functions,
@@ -13,6 +14,7 @@ from rschoice.core import (
 )
 from rschoice.fixtures import detergent_choice, worked_structure
 from rschoice.axioms import tsm_choice, tsm_fixture_nrs_violation
+from rschoice.culture import MAX_CONSISTENCY_GRID
 
 
 @pytest.fixture
@@ -325,3 +327,71 @@ def test_repeated_runs_are_byte_identical(capsys, detergent_file):
     _, s2, _ = run(capsys, "sweep", "media", "--lambda-range", "0.6:0.7:3",
                    "--p-range", "0.1:0.4:5")
     assert s1 == s2
+
+
+CULTURE_ARGS = [
+    "simulate-culture",
+    "--beta", "2", "--g-hat", "2", "--v-hat", "2", "--lambda-r", "1.5",
+    "--g", "3", "--q0", "0.3",
+]
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("work started before the request was checked")
+
+
+def test_infinite_horizon_is_a_coded_error(capsys):
+    for flags in (["--horizon", "inf"], ["--dt", "inf"]):
+        _assert_one_coded_error(*run(capsys, *CULTURE_ARGS, *flags), "invalid-params")
+
+
+def test_step_budget_rejects_before_dynamics(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "culture_dynamics", _must_not_run)
+    for flags in (["--dt", "1e-300"], ["--dt", "1e-4"], ["--dt", "1e-300", "--horizon", "1e300"]):
+        _assert_one_coded_error(*run(capsys, *CULTURE_ARGS, *flags), "too-many-steps")
+
+
+def test_consistency_grid_budget_rejects_before_dynamics(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "culture_dynamics", _must_not_run)
+    monkeypatch.setattr(cli, "culture_rsc_consistency", _must_not_run)
+    result = run(capsys, *CULTURE_ARGS, "--consistency-grid", str(MAX_CONSISTENCY_GRID + 1))
+    _assert_one_coded_error(*result, "grid-too-large")
+
+
+def test_sweep_point_budget_rejects_before_any_point_is_evaluated(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "media_sweep", _must_not_run, raising=False)
+    monkeypatch.setattr(cli, "media_menu_choice", _must_not_run)
+    monkeypatch.setattr(cli, "steady_state", _must_not_run)
+    over = str(MAX_SWEEP_POINTS + 1)
+    for argv in (
+        ["sweep", "media", "--p-range", f"0.1:0.4:{over}"],
+        ["sweep", "media", "--lambda-range", f"0.6:0.7:{over}", "--samples", "5"],
+        ["sweep", "media", "--lambda-range", "0.6:0.7:1001", "--p-range", "0.1:0.4:1000"],
+        ["sweep", "media", "--samples", over],
+        ["sweep", "culture", "--g-range", f"1:6:{over}"],
+        ["sweep", "culture", "--g-range", "1:6:1001", "--lambda-r-range", "1:2:1000"],
+    ):
+        _assert_one_coded_error(*run(capsys, *argv), "too-many-points")
+
+
+@pytest.mark.parametrize(
+    "ranges, line",
+    [
+        (
+            ["--lambda-range", "0.6:0.8:3", "--p-range", "0.2:0.8:4"],
+            '{"error": "invalid-params", "message": "prior p must lie in (0, 1/2), got 0.6000000000000001"}',
+        ),
+        (
+            ["--lambda-range", "0.6:0.8:3", "--p-range", "0.1:0.4:4"],
+            '{"error": "invalid-params", "message": "moderate precision lambda must lie in (1/2, 3/4), got 0.8"}',
+        ),
+        (
+            ["--p-range", "nan:nan:2"],
+            '{"error": "invalid-params", "message": "prior p must lie in (0, 1/2), got nan"}',
+        ),
+    ],
+)
+def test_invalid_media_grid_point_reports_the_recorded_line(capsys, ranges, line):
+    """The stderr lines were recorded from the point-by-point sweep."""
+    code, out, err = run(capsys, "sweep", "media", *ranges)
+    assert (code, out, err) == (2, "", line + "\n")

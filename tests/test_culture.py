@@ -1,11 +1,20 @@
 from __future__ import annotations
 
+import math
+import random
+
 import numpy as np
 import pytest
 
+from rschoice import culture
 from rschoice.culture import (
+    MAX_CONSISTENCY_GRID,
+    MAX_CULTURE_STEPS,
     CultureParams,
+    GridBudgetError,
     NotInteriorAtGhatError,
+    StepBudgetError,
+    check_consistency_grid,
     culture_dynamics,
     culture_effort,
     culture_gbar,
@@ -173,3 +182,112 @@ def test_consistency_deviation_shrinks_with_refinement():
 def test_consistency_grid_guard():
     with pytest.raises(InvalidParamsError):
         culture_rsc_consistency(CultureParams(**BASE), 5)
+
+
+# --- culture_dynamics against every RK4 step ---------------------------------
+
+
+def reference_dynamics(params, record_every):
+    """The integration loop that runs all ``round(horizon / dt)`` steps.
+
+    Returns ``(trajectory, q_end, converged)``; ``culture_dynamics`` must
+    agree exactly although it stops at the first fixed point.
+    """
+    beta, g = params.beta, params.g
+    value_minority = transmission_value(g, params.g_hat, params.v_hat, params.lambda_r)
+    v_hat = params.v_hat
+
+    def rhs(q):
+        q = min(max(q, 0.0), 1.0)
+        d_m = effort(beta, value_minority, g, q)
+        d_mj = effort(beta, v_hat, 1.0, 1.0 - q)
+        return q * (1.0 - q) * (d_m - d_mj)
+
+    steps = int(round(params.horizon / params.dt))
+    dt = params.dt
+    q = params.q0
+    trajectory = [(0.0, q)]
+    for k in range(steps):
+        k1 = rhs(q)
+        k2 = rhs(q + 0.5 * dt * k1)
+        k3 = rhs(q + 0.5 * dt * k2)
+        k4 = rhs(q + dt * k3)
+        q = q + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        q = min(max(q, 0.0), 1.0)
+        if (k + 1) % record_every == 0 or k == steps - 1:
+            trajectory.append(((k + 1) * dt, q))
+    return tuple(trajectory), q, abs(q - steady_state(params)) < 1e-6
+
+
+def _random_params(rng, horizon):
+    """Parameters drawn from the ranges of the benchmark's generator."""
+    return CultureParams(
+        beta=1.5 + rng.random() * 1.5,
+        g_hat=1.5 + rng.random(),
+        v_hat=1.5 + rng.random() * 1.5,
+        lambda_r=1.2 + rng.random() * 1.3,
+        g=1.0 + rng.random() * 3.0,
+        q0=0.1 + rng.random() * 0.5,
+        dt=0.05,
+        horizon=horizon,
+    )
+
+
+def test_dynamics_equal_the_full_loop_with_and_without_a_fixed_point():
+    rng = random.Random(11)
+    reached = missed = 0
+    for horizon in (200.0, 10.0, 200.0, 10.0, 200.0, 200.0):
+        params = _random_params(rng, horizon)
+        steps = params.steps
+        full, _, _ = reference_dynamics(params, 1)
+        qs = [q for _, q in full]
+        if any(a == b for a, b in zip(qs, qs[1:])):
+            reached += 1
+        else:
+            missed += 1
+        for record_every in (1, 3, 100, steps, steps + 5, rng.randint(2, 499)):
+            out = culture_dynamics(params, record_every=record_every)
+            assert (out.trajectory, out.q_end, out.converged) == reference_dynamics(
+                params, record_every
+            )
+    assert reached and missed
+
+
+def test_dynamics_stop_at_the_fixed_point(monkeypatch):
+    # The default run reaches an exact fixed point near step 7 900 of 20 000;
+    # each RK4 step calls effort 8 times.
+    calls = 0
+    real_effort = culture.effort
+
+    def counting_effort(*args):
+        nonlocal calls
+        calls += 1
+        return real_effort(*args)
+
+    monkeypatch.setattr(culture, "effort", counting_effort)
+    params = CultureParams(**BASE)
+    out = culture_dynamics(params, record_every=100)
+    assert calls < 8 * params.steps // 2
+    assert len(out.trajectory) == 1 + params.steps // 100
+    assert out.trajectory[-1][0] == params.steps * params.dt
+
+
+def test_non_finite_dt_or_horizon_is_invalid():
+    for bad in ({"horizon": math.inf}, {"dt": math.inf}, {"dt": math.nan}, {"horizon": math.nan}):
+        with pytest.raises(InvalidParamsError):
+            CultureParams(**{**BASE, **bad})
+
+
+def test_step_budget():
+    assert CultureParams(**{**BASE, "dt": 1.0, "horizon": float(MAX_CULTURE_STEPS)}).steps == (
+        MAX_CULTURE_STEPS
+    )
+    for dt, horizon in ((1.0, MAX_CULTURE_STEPS + 1.0), (1e-300, 200.0), (1e-300, 1e300)):
+        with pytest.raises(StepBudgetError):
+            CultureParams(**{**BASE, "dt": dt, "horizon": horizon})
+
+
+def test_consistency_grid_budget():
+    check_consistency_grid(MAX_CONSISTENCY_GRID)
+    with pytest.raises(GridBudgetError):
+        culture_rsc_consistency(CultureParams(**BASE), MAX_CONSISTENCY_GRID + 1)

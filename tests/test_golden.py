@@ -55,6 +55,13 @@ def _cases() -> dict[str, list[str]]:
         for cmd, args in CHOICE_COMMANDS.items()
     }
     cases.update({
+        f"sweep-media.grid-{menu}": [
+            "sweep", "media", "--menu", menu,
+            "--lambda-range", "0.55:0.7:4", "--p-range", "0.3:0.49:20",
+        ]
+        for menu in ("M", "N")
+    })
+    cases.update({
         "freedom.worked_structure": ["freedom", "fixtures/worked_structure.json"],
         "enumerate.xyz-limit5": ["enumerate", "--options", "x,y,z", "--limit", "5"],
         "simulate-media.N": ["simulate-media", "--p", "0.46", "--lambda", "0.7", "--menu", "N"],
@@ -68,6 +75,13 @@ def _cases() -> dict[str, list[str]]:
         "simulate-culture": [
             "simulate-culture", "--beta", "2", "--g-hat", "2", "--v-hat", "2",
             "--lambda-r", "1.5", "--g", "3", "--q0", "0.3", "--horizon", "40",
+        ],
+        "simulate-culture.horizon200": [
+            "simulate-culture", "--beta", "2", "--g-hat", "2", "--v-hat", "2",
+            "--lambda-r", "1.5", "--g", "3", "--q0", "0.3",
+        ],
+        "sweep-media.invalid-mid-grid": [
+            "sweep", "media", "--lambda-range", "0.6:0.8:3", "--p-range", "0.2:0.8:4",
         ],
     })
     return cases

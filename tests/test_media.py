@@ -1,17 +1,21 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
 from rschoice.media import (
     EXTREME_ACTION_CUTOFF,
+    MENUS,
+    SOURCES,
     InvalidParamsError,
     MediaParams,
     PayoffSpec,
     expected_value,
     media_menu_choice,
     media_pstar,
+    media_sweep,
     signal_sources,
     _posterior,
     _signal_probability,
@@ -113,3 +117,88 @@ def test_payoff_override_changes_values():
 def test_menu_must_be_m_or_n():
     with pytest.raises(InvalidParamsError):
         media_menu_choice(MediaParams(p=0.3, lam=0.6), "Q")
+
+
+# --- media_sweep against the scalar path -------------------------------------
+
+
+def _scalar_sweep(ps, lams, menu):
+    outs = [media_menu_choice(MediaParams(p=p, lam=lam), menu) for p, lam in zip(ps, lams)]
+    return (
+        [SOURCES.index(o.chosen_source) for o in outs],
+        [o.expected_payoffs["sigmaL"][0] for o in outs],
+        [o.expected_payoffs["sigmaRR"][1] for o in outs],
+    )
+
+
+def _assert_sweep_matches_scalar(ps, lams):
+    """Same chosen source and bit-identical floats (``==``) on both menus."""
+    for menu in MENUS:
+        chosen, u_own, v_extreme = media_sweep(ps, lams, menu)
+        assert (chosen.tolist(), u_own.tolist(), v_extreme.tolist()) == _scalar_sweep(ps, lams, menu)
+
+
+def test_media_sweep_matches_scalar_path_on_random_points():
+    rng = random.Random(2024)
+    ps = [rng.uniform(0.0, 0.5) for _ in range(2000)]
+    lams = [rng.uniform(0.5, 0.75) for _ in range(2000)]
+    _assert_sweep_matches_scalar(ps, lams)
+
+
+def test_media_sweep_matches_scalar_path_at_and_around_pstar():
+    rng = random.Random(17)
+    lam_values = [0.5 + 0.25 * j / 200 for j in range(1, 200)]
+    lam_values += [rng.uniform(0.5, 0.75) for _ in range(200)]
+    ps, lams = [], []
+    for lam in lam_values:
+        pstar = media_pstar(lam)
+        for p in (math.nextafter(pstar, 0.0), pstar, math.nextafter(pstar, 1.0)):
+            ps.append(p)
+            lams.append(lam)
+    _assert_sweep_matches_scalar(ps, lams)
+    # The crossing often ties exactly in floats, so the tie rule is exercised.
+    _, u_own, v_extreme = media_sweep(ps[1::3], lams[1::3], "N")
+    assert (u_own == v_extreme).sum() > 10
+
+
+def test_media_sweep_matches_scalar_path_near_domain_edges():
+    rng = random.Random(5)
+    p_edges = [math.nextafter(0.0, 1.0), math.nextafter(0.5, 0.0), 1e-9, 0.5 - 1e-9]
+    p_edges += [rng.uniform(0.0, 1e-9) or 1e-9 for _ in range(8)]
+    p_edges += [0.5 - rng.uniform(0.0, 1e-9) for _ in range(8)]
+    lam_edges = [math.nextafter(0.5, 1.0), math.nextafter(0.75, 0.0), 0.5 + 1e-9, 0.75 - 1e-9]
+    lam_edges += [0.5 + rng.uniform(0.0, 1e-9) for _ in range(8)]
+    lam_edges += [0.75 - rng.uniform(0.0, 1e-9) for _ in range(8)]
+    lam_edges += [rng.uniform(0.5, 0.75) for _ in range(8)]
+    p_edges += [rng.uniform(0.0, 0.5) for _ in range(8)]
+    ps = [p for _ in lam_edges for p in p_edges]
+    lams = [lam for lam in lam_edges for _ in p_edges]
+    _assert_sweep_matches_scalar(ps, lams)
+
+
+@pytest.mark.parametrize(
+    "ps, lams",
+    [
+        ([0.1, 0.2, 0.6, 0.7], [0.6, 0.6, 0.6, 0.8]),
+        ([0.1, 0.2, 0.3, 0.6], [0.6, 0.6, 0.8, 0.8]),
+        ([0.1, float("nan"), 0.0], [0.6, 0.6, 0.6]),
+        ([0.1, 0.2], [0.6, 0.5]),
+        ([-0.0, 0.2], [0.6, 0.75]),
+    ],
+)
+def test_media_sweep_raises_the_scalar_error_of_the_first_invalid_point(ps, lams):
+    expected = None
+    for p, lam in zip(ps, lams):
+        try:
+            MediaParams(p=p, lam=lam)
+        except InvalidParamsError as exc:
+            expected = str(exc)
+            break
+    with pytest.raises(InvalidParamsError) as info:
+        media_sweep(ps, lams, "N")
+    assert str(info.value) == expected
+
+
+def test_media_sweep_menu_must_be_m_or_n():
+    with pytest.raises(InvalidParamsError):
+        media_sweep([0.3], [0.6], "Q")
