@@ -194,7 +194,11 @@ def cmd_simulate_culture(args: argparse.Namespace) -> int:
     )
     if args.consistency_grid is not None:
         check_consistency_grid(args.consistency_grid)
-    outcome = culture_dynamics(params, record_every=args.record_every)
+    # Only q_end is printed; an invalid --record-every still fails below.
+    record_every = args.record_every
+    if not args.trajectory_out and record_every >= 1:
+        record_every = max(params.steps, 1)
+    outcome = culture_dynamics(params, record_every=record_every)
     if args.trajectory_out:
         _write(args.trajectory_out, outcome.trajectory_csv())
     doc = json.loads(outcome.summary_json())

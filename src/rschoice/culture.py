@@ -182,26 +182,23 @@ def culture_gbar(params: CultureParams, q: float, tol: float = 1e-10) -> float:
 
     Requires the solution to be interior at the threshold itself
     (otherwise raises ``NotInteriorAtGhatError``); the two branches are
-    monotone on the bracket, so bisection converges.
+    monotone on the bracket, so bisection converges.  It stops at width
+    ``tol`` or when no float lies strictly between the ends, whichever
+    comes first: past about 5e5 adjacent floats are more than 1e-10 apart.
     """
     beta, g_hat = params.beta, params.g_hat
 
-    def interior(g: float) -> float:
+    def at_corner(g: float) -> bool:
         value = transmission_value(g, g_hat, params.v_hat, params.lambda_r)
-        if q >= 1.0:
-            return 0.0
-        return ((1.0 - q) / beta * value / g) ** (1.0 / (beta - 1.0))
+        return effort(beta, value, g, q) == (1.0 / g) ** (1.0 / beta)
 
-    def corner(g: float) -> float:
-        return (1.0 / g) ** (1.0 / beta)
-
-    if interior(g_hat) >= corner(g_hat):
+    if at_corner(g_hat):
         raise NotInteriorAtGhatError(
             "effort is already at the budget corner at the reactance threshold"
         )
     hi = g_hat * 2.0
     for _ in range(200):
-        if interior(hi) >= corner(hi):
+        if at_corner(hi):
             break
         hi *= 2.0
     else:
@@ -209,7 +206,9 @@ def culture_gbar(params: CultureParams, q: float, tol: float = 1e-10) -> float:
     lo = g_hat
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if interior(mid) >= corner(mid):
+        if mid == lo or mid == hi:
+            break
+        if at_corner(mid):
             hi = mid
         else:
             lo = mid

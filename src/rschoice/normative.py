@@ -12,7 +12,8 @@ the transitive closure of the limited-attention revealed preference
 Freedom is measured per type: a type's freedom is satisfied in a menu when
 the menu contains an option strictly above the type threshold.  Menus are
 ranked by the number of satisfied freedoms; the ranking is characterized
-by a dominance and a composition axiom, both checkable with witnesses.
+by a dominance and a composition axiom, both decided exactly with
+witnesses, within the work budget ``MAX_COMPOSITION_WORK``.
 """
 
 from __future__ import annotations
@@ -35,14 +36,21 @@ from .revealed import BinaryRelation, single_deletion_switches
 from .structure import RSStructure, SinglePeakedCertificate, certify_single_peaked, minimal_structure
 
 
-#: Above this many (C, D) pairs the composition check samples that many,
-#: deterministically from ``COMPOSITION_SAMPLE_SEED``.
-COMPOSITION_SAMPLE_LIMIT = 200_000
-COMPOSITION_SAMPLE_SEED = 0
+#: Largest composition gate ``check_menu_axioms`` runs, counted as
+#: W * (2^n + W * V) for W within-type menus, n options and V distinct
+#: scores.  One type scored by the freedom ranking (V = 2) costs 5.0 * 10^7
+#: at 12 options (0.4 s, 30 MB peak), 2.0 * 10^8 at 13 (1.5 s, 31 MB) and
+#: 8.1 * 10^8 at 14 (5.4 s, 32 MB); four types of 5 options cost 1.3 * 10^8
+#: (0.9 s, 96 MB).  Python 3.11, numpy 2.4, one core of a shared machine.
+MAX_COMPOSITION_WORK = 300_000_000
 
 
 class NotSinglePeakedRSCError(ChoiceModelError):
     code = "not-single-peaked-rsc"
+
+
+class CompositionBudgetError(ChoiceModelError):
+    code = "composition-too-large"
 
 
 @dataclass(frozen=True)
@@ -265,12 +273,13 @@ def is_richer(model: FreedomModel, menu_a, menu_b) -> str:
 class MenuPreference:
     """Complete transitive ranking of all nonempty menus.
 
-    ``scores[mask]`` is the rank value of that menu; higher means more
-    preferred, equal means indifferent.  Entry 0 is unused.
+    ``scores[mask]`` is the rank value of that menu, any real number;
+    higher means more preferred, equal means indifferent.  Entry 0 is
+    unused.
     """
 
     ground: GroundSet
-    scores: tuple[int, ...]
+    scores: tuple[float, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "scores", tuple(self.scores))
@@ -286,13 +295,13 @@ class MenuPreference:
 
 
 def freedom_ranking(model: FreedomModel) -> MenuPreference:
-    """Menus ranked by the number of satisfied freedoms."""
-    ground = model.ground
-    sats = model.satisfied_masks()
-    scores = [0] * (1 << ground.size)
-    for mask in range(1, ground.full_mask + 1):
-        scores[mask] = sum(1 for f in sats if f & mask)
-    return MenuPreference(ground, tuple(scores))
+    """Menus ranked by the number of satisfied freedoms, the set bits of
+    the menu's satisfaction signature."""
+    sig = _satisfaction_signature(model)
+    scores = np.zeros_like(sig)
+    for t in range(len(model.structure.types.blocks)):
+        scores += (sig >> t) & 1
+    return MenuPreference(model.ground, tuple(scores.tolist()))
 
 
 def _satisfaction_signature(model: FreedomModel) -> np.ndarray:
@@ -300,10 +309,8 @@ def _satisfaction_signature(model: FreedomModel) -> np.ndarray:
     ground = model.ground
     size = 1 << ground.size
     sig = np.zeros(size, dtype=np.int64)
+    masks = np.arange(size, dtype=np.int64)
     for t, f in enumerate(model.satisfied_masks()):
-        if f == 0:
-            continue
-        masks = np.arange(size, dtype=np.int64)
         sig |= ((masks & f) != 0).astype(np.int64) << t
     return sig
 
@@ -318,25 +325,34 @@ def check_menu_axioms(
     Dominance: (strictly) richer menus must be (strictly) weakly preferred,
     and a strict preference between singletons requires strict richness.
     Composition: merging disjoint within-type menus that add real freedom
-    preserves the ranking.  Every within-type pair (C, D) is checked while
-    there are at most ``COMPOSITION_SAMPLE_LIMIT`` of them; beyond that,
-    that many are sampled deterministically from ``COMPOSITION_SAMPLE_SEED``.
+    preserves the ranking.  Both are decided exactly, over every menu and
+    every within-type pair (C, D).
 
     Both checks gate, then scan: an exact test over all menus at once
     picks the menus (dominance) or (C, D) pairs (composition) that have a
     witness, and only those are scanned, in the order of an ungated scan,
     so the witness lists are the same.  ``pref`` may be any ranking; both
-    checks read scores as ranks, and the gates never assume that a menu's
-    score is a function of its signature.  On a ranking that satisfies
-    both axioms the cost is O(2^n + k 2^k) for dominance with k types and
-    O(W 2^n + W^2 V) for composition with W within-type menus and V
-    distinct scores, against O(4^n) and O(W^2 4^n) for the ungated scans;
-    each violating menu or pair adds its O(2^n) or O(4^n) scan.
+    checks rank its scores as given, and the gates never assume that a
+    menu's score is a function of its signature.  On a ranking that
+    satisfies both axioms the cost is O(2^n + k 2^k) for dominance with k
+    types and O(W 2^n + W^2 V) time in O(W V) memory for composition with
+    W within-type menus and V distinct scores; each violating menu or pair
+    adds its O(2^n) or O(4^n) scan.  A composition gate W * (2^n + W * V)
+    over ``MAX_COMPOSITION_WORK`` raises ``CompositionBudgetError`` once
+    the scores are ranked, before either check starts.
     """
+    ground = model.ground
+    rank = np.unique(np.asarray(pref.scores), return_inverse=True)[1]
+    within_count = sum((1 << len(block)) - 1 for block in model.structure.types.blocks)
+    work = within_count * ((1 << ground.size) + within_count * (int(rank.max()) + 1))
+    if work > MAX_COMPOSITION_WORK:
+        raise CompositionBudgetError(
+            f"composition gate of {work} steps for {within_count} within-type menus "
+            f"is over the budget of {MAX_COMPOSITION_WORK}"
+        )
     sig = _satisfaction_signature(model)
-    rank = np.unique(np.asarray(pref.scores, dtype=np.int64), return_inverse=True)[1]
     return (
-        _verdict("R-Dominance", _dominance_witnesses(model.ground, sig, rank), cap),
+        _verdict("R-Dominance", _dominance_witnesses(ground, sig, rank), cap),
         _verdict("R-Composition", _composition_witnesses(model, sig, rank), cap),
     )
 
@@ -398,47 +414,30 @@ def _composition_witnesses(model: FreedomModel, sig: np.ndarray,
     A disjoint from C and not richer than C, nonempty B disjoint from D, A
     weakly above B, yet A | C strictly below B | D.
 
-    After the sampling step, the gate ``_composition_open_pairs`` decides
-    for each (C, D) pair whether some (A, B) exists; the O(4^n) scan over
-    (A, B) runs for those pairs only.
+    The gate ``_composition_open_pairs`` streams the (C, D) pairs that
+    have some (A, B); the O(4^n) scan over (A, B) runs for those only, one
+    A at a time in O(2^n) memory.
     """
     ground = model.ground
     masks = np.arange(1 << ground.size, dtype=np.int64)
     within = sorted(
         sub for tmask in model.structure.types.block_masks() for sub in _submasks(tmask)
     )
-    pairs = [(c, d) for c in within for d in within]
-    if len(pairs) > COMPOSITION_SAMPLE_LIMIT:
-        rng = np.random.default_rng(COMPOSITION_SAMPLE_SEED)
-        keep = rng.choice(len(pairs), size=COMPOSITION_SAMPLE_LIMIT, replace=False)
-        pairs = [pairs[int(k)] for k in sorted(keep)]
-    is_open = _composition_open_pairs(within, masks, sig, rank)
-    row = {m: i for i, m in enumerate(within)}
-    for c, d in pairs:
-        if rank[c] < rank[d] or not is_open[row[c], row[d]]:
-            continue
+    for c, d in _composition_open_pairs(within, masks, sig, rank):
         a_ok = ((masks & c) == 0) & ((sig[c] & ~sig) != 0)  # disjoint, not richer than C
         a_ok[0] = False
-        b_ok = (masks & d) == 0
-        b_ok[0] = False
-        a_idx = np.flatnonzero(a_ok)
-        b_idx = np.flatnonzero(b_ok)
-        viol = (rank[a_idx][:, None] >= rank[b_idx][None, :]) & (
-            rank[a_idx | c][:, None] < rank[b_idx | d][None, :]
-        )
-        for ai, bi in np.argwhere(viol):
-            yield (
-                ground.menu_key(int(a_idx[ai])),
-                ground.menu_key(int(b_idx[bi])),
-                ground.menu_key(c),
-                ground.menu_key(d),
-            )
+        b_idx = np.flatnonzero((masks & d) == 0)[1:]  # nonempty, disjoint from D
+        b_rank, bd_rank = rank[b_idx], rank[b_idx | d]
+        for a in np.flatnonzero(a_ok):
+            for b in b_idx[(rank[a] >= b_rank) & (rank[a | c] < bd_rank)]:
+                yield (ground.menu_key(int(a)), ground.menu_key(int(b)),
+                       ground.menu_key(c), ground.menu_key(d))
 
 
 def _composition_open_pairs(within: list[int], masks: np.ndarray, sig: np.ndarray,
-                            rank: np.ndarray) -> np.ndarray:
-    """is_open[i, j]: some (A, B) breaks composition for the pair
-    (C, D) = (within[i], within[j]), whatever the ranks of C and D.
+                            rank: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Within-type pairs (C, D), ascending in C and then in D, with
+    rank[D] <= rank[C] and some (A, B) that breaks composition.
 
     Per within-type menu M = within[i], over score ranks v:
 
@@ -448,8 +447,9 @@ def _composition_open_pairs(within: list[int], masks: np.ndarray, sig: np.ndarra
       M with rank at most v (-1 where none).
 
     A witness for (C, D) has rank(B) <= rank(A) = v and B | D above A | C,
-    so one exists iff best[j, v] > lo[i, v] for some v.  O(W 2^n + W^2 V)
-    time and O(W V + W^2) memory for W menus and V distinct ranks.
+    so one exists iff best[j, v] > lo[i, v] for some v.  The tables take
+    O(W 2^n) time and O(W V) memory for W menus and V distinct ranks; then
+    one O(W V) row per C picks its open D.
     """
     n_ranks = int(rank.max()) + 1
     lo = np.full((len(within), n_ranks), n_ranks, dtype=np.int64)
@@ -462,7 +462,11 @@ def _composition_open_pairs(within: list[int], masks: np.ndarray, sig: np.ndarra
         b_idx = np.flatnonzero(disjoint)
         np.maximum.at(best[i], rank[b_idx], rank[b_idx | m])
     np.maximum.accumulate(best, axis=1, out=best)
-    return np.array([(best > lo_c).any(axis=1) for lo_c in lo])
+    within_rank = rank[within]
+    for i, c in enumerate(within):
+        row = (within_rank <= within_rank[i]) & (best > lo[i]).any(axis=1)
+        for j in np.flatnonzero(row):
+            yield c, within[j]
 
 
 def _submasks(mask: int) -> list[int]:

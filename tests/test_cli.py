@@ -14,7 +14,7 @@ from rschoice.core import (
 )
 from rschoice.fixtures import detergent_choice, worked_structure
 from rschoice.axioms import tsm_choice, tsm_fixture_nrs_violation
-from rschoice.culture import MAX_CONSISTENCY_GRID
+from rschoice.culture import MAX_CONSISTENCY_GRID, culture_dynamics
 
 
 @pytest.fixture
@@ -356,6 +356,41 @@ def test_consistency_grid_budget_rejects_before_dynamics(capsys, monkeypatch):
     monkeypatch.setattr(cli, "culture_rsc_consistency", _must_not_run)
     result = run(capsys, *CULTURE_ARGS, "--consistency-grid", str(MAX_CONSISTENCY_GRID + 1))
     _assert_one_coded_error(*result, "grid-too-large")
+
+
+def test_simulate_culture_records_only_what_it_writes(capsys, monkeypatch, tmp_path):
+    seen = []
+
+    def spy(params, record_every=1):
+        seen.append(record_every)
+        return culture_dynamics(params, record_every=record_every)
+
+    monkeypatch.setattr(cli, "culture_dynamics", spy)
+    traj = str(tmp_path / "traj.csv")
+    _, printed, _ = run(capsys, *CULTURE_ARGS, "--horizon", "20")
+    _, written, _ = run(capsys, *CULTURE_ARGS, "--horizon", "20", "--trajectory-out", traj)
+    run(capsys, *CULTURE_ARGS, "--horizon", "20", "--record-every", "7",
+        "--trajectory-out", traj)
+    assert run(capsys, *CULTURE_ARGS, "--horizon", "0.001")[0] == 0  # zero steps
+    assert seen == [2000, 100, 7, 1]
+    assert printed == written
+    line = '{"error": "invalid-params", "message": "record_every must be a positive integer"}\n'
+    for value in ("0", "-5"):
+        for flags in ([], ["--trajectory-out", traj]):
+            assert run(capsys, *CULTURE_ARGS, "--record-every", value, *flags) == (2, "", line)
+
+
+def test_simulate_culture_ends_when_g_bar_passes_float_resolution(capsys):
+    """g_bar lies past 10^7 here, where adjacent floats are further apart
+    than the bisection tolerance.  The bisection ends on two adjacent
+    floats whose midpoint rounds to the lower end (g_hat 2) or to the
+    upper end (g_hat 3)."""
+    for g_hat, g_bar in (("2", 1.1966838812903833e7), ("3", 1.035102341401106e9)):
+        code, out, _ = run(capsys, "simulate-culture", "--beta", "1.1", "--g-hat", g_hat,
+                           "--v-hat", "1", "--lambda-r", "1", "--g", "1", "--q0", "0.5",
+                           "--horizon", "1")
+        assert code == 0
+        assert json.loads(out)["g_bar"] == pytest.approx(g_bar)
 
 
 def test_sweep_point_budget_rejects_before_any_point_is_evaluated(capsys, monkeypatch):

@@ -10,7 +10,9 @@ from rschoice.fixtures import (
     worked_structure,
 )
 from rschoice.generators import ground_of_size, random_single_peaked_structure
+import rschoice.normative as normative
 from rschoice.normative import (
+    CompositionBudgetError,
     MenuPreference,
     NotSinglePeakedRSCError,
     bernheim_rangel_pstar,
@@ -184,6 +186,76 @@ def test_freedom_ranking_satisfies_both_axioms(rng):
         assert dominance.holds and composition.holds
 
 
+def _one_type_model(size: int, reaction_head: tuple[str, ...] = ()):
+    """One type on o0..o{size-1} with welfare in that order; the reaction
+    order lists ``reaction_head`` first, then the rest in welfare order."""
+    ground = ground_of_size(size)
+    rest = tuple(o for o in ground.options if o not in reaction_head)
+    return freedom_model(RSStructure(
+        ground=ground,
+        types=TypePartition(ground, (ground.options,)),
+        welfare=LinearOrder(ground, ground.options),
+        reaction_pref=LinearOrder(ground, reaction_head + rest),
+    ))
+
+
+def test_composition_is_decided_on_every_within_type_pair():
+    """A 9-option type has 511^2 = 261 121 (C, D) pairs.  The doubled
+    cardinality ranking satisfies composition; lifting {o5, o8} above the
+    other pairs breaks it on exactly two of them, ({o0}, {o5}) and
+    ({o0}, {o8}), which a check over a sample of the pairs can miss."""
+    model = _one_type_model(9, ("o0", "o2", "o1"))
+    ground = model.ground
+    assert model.satisfied_sets == {ground.options: ("o0",)}
+    lifted = ground.mask_of(("o5", "o8"))
+    scores = [2 * bin(m).count("1") + (m == lifted) for m in range(1 << ground.size)]
+    _, composition = check_menu_axioms(model, MenuPreference(ground, tuple(scores)), cap=10**9)
+    assert composition.violations == tuple(
+        [(f"o{a}", "o8", "o0", "o5") for a in range(1, 9)]
+        + [(f"o{a}", "o5", "o0", "o8") for a in range(1, 9)]
+    )
+    assert not composition.holds
+    scores[lifted] -= 1
+    _, composition = check_menu_axioms(model, MenuPreference(ground, tuple(scores)))
+    assert composition.holds
+
+
+def test_composition_budget_rejects_before_any_menu_work(monkeypatch):
+    """W * (2^n + W * V) over the budget raises the coded error before the
+    signature, either gate or either scan runs."""
+    small = _one_type_model(5)
+    small_ranking = freedom_ranking(small)
+    small_work = 31 * ((1 << 5) + 31 * 2)  # W = 31 menus, V = 2 scores
+    large = _one_type_model(14)
+    large_ranking = freedom_ranking(large)
+    assert 16383 * ((1 << 14) + 16383 * 2) > normative.MAX_COMPOSITION_WORK
+
+    monkeypatch.setattr(normative, "MAX_COMPOSITION_WORK", small_work)
+    assert all(v.holds for v in check_menu_axioms(small, small_ranking))
+    monkeypatch.undo()
+
+    def expensive(*args):
+        raise AssertionError("menu work started before the budget check")
+
+    for name in ("_satisfaction_signature", "_dominance_witnesses",
+                 "_composition_witnesses", "_composition_open_pairs"):
+        monkeypatch.setattr(normative, name, expensive)
+    with pytest.raises(CompositionBudgetError) as exc:
+        check_menu_axioms(large, large_ranking)
+    assert exc.value.code == "composition-too-large"
+    monkeypatch.setattr(normative, "MAX_COMPOSITION_WORK", small_work - 1)
+    with pytest.raises(CompositionBudgetError):
+        check_menu_axioms(small, small_ranking)
+
+
+def test_a_twelve_option_type_is_within_the_composition_budget():
+    """W = 4 095 within-type menus: every one of the 16.8 M (C, D) pairs is
+    decided by the gate."""
+    model = _one_type_model(12)
+    dominance, composition = check_menu_axioms(model, freedom_ranking(model))
+    assert dominance.holds and composition.holds
+
+
 def test_cardinality_ranking_breaks_dominance():
     # two options of one type, nothing above the threshold for the other:
     # |A| ranking strictly ranks singletons that are equally rich
@@ -218,6 +290,7 @@ def test_monotonicity_corollary(rng):
         ranking = freedom_ranking(model)
         full = model.ground.full_mask
         for menu in range(1, full + 1):
+            assert ranking.scores[menu] == freedom_count(model, menu)
             sub = (menu - 1) & menu
             while sub:
                 assert ranking.prefers(menu, sub)
