@@ -201,11 +201,9 @@ def cmd_simulate_culture(args: argparse.Namespace) -> int:
     outcome = culture_dynamics(params, record_every=record_every)
     if args.trajectory_out:
         _write(args.trajectory_out, outcome.trajectory_csv())
-    doc = json.loads(outcome.summary_json())
+    doc = outcome.to_dict()
     if args.consistency_grid is not None:
-        doc["consistency"] = json.loads(
-            culture_rsc_consistency(params, args.consistency_grid).to_json()
-        )
+        doc["consistency"] = culture_rsc_consistency(params, args.consistency_grid).to_dict()
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
 

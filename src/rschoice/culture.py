@@ -26,7 +26,6 @@ lattices above ``MAX_CONSISTENCY_GRID``, are rejected before any work.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -50,9 +49,12 @@ class GridBudgetError(ChoiceModelError):
 #: Most RK4 steps one ``culture_dynamics`` run may take: 50 times the CLI
 #: default of 200 / 0.01.
 MAX_CULTURE_STEPS = 1_000_000
-#: Largest ``culture_rsc_consistency`` lattice.  Its cost grows faster than
-#: linearly: 1.6 s and 70 MB peak at 100 000, 78 s and 400 MB at 10^6.
+#: Largest ``culture_rsc_consistency`` lattice.  Its cost grows a little
+#: faster than linearly: 0.47 s and 72 MB peak at 100 000, 5.4 s and 380 MB at
+#: 10^6 (one run each on a shared 2-core machine).
 MAX_CONSISTENCY_GRID = 100_000
+#: Bracket width at which the ``culture_gbar`` bisection stops.
+GBAR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -112,8 +114,8 @@ class CultureOutcome:
     g_bar: float | None
     converged: bool
 
-    def summary_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "d_star_minority": self.d_star_minority,
             "d_star_majority": self.d_star_majority,
             "q_steady": self.q_steady,
@@ -121,7 +123,6 @@ class CultureOutcome:
             "g_bar": self.g_bar,
             "converged": self.converged,
         }
-        return json.dumps(doc, indent=2) + "\n"
 
     def trajectory_csv(self) -> str:
         lines = ["tau,q"]
@@ -176,14 +177,14 @@ def culture_effort(params: CultureParams, q: float, policy_g: float, side: str) 
     raise InvalidParamsError(f"side must be 'minority' or 'majority', got {side!r}")
 
 
-def culture_gbar(params: CultureParams, q: float, tol: float = 1e-10) -> float:
+def culture_gbar(params: CultureParams, q: float) -> float:
     """Smallest policy above the reactance threshold where the rising
     interior effort meets the falling budget corner.
 
     Requires the solution to be interior at the threshold itself
     (otherwise raises ``NotInteriorAtGhatError``); the two branches are
     monotone on the bracket, so bisection converges.  It stops at width
-    ``tol`` or when no float lies strictly between the ends, whichever
+    ``GBAR_TOL`` or when no float lies strictly between the ends, whichever
     comes first: past about 5e5 adjacent floats are more than 1e-10 apart.
     """
     beta, g_hat = params.beta, params.g_hat
@@ -204,7 +205,7 @@ def culture_gbar(params: CultureParams, q: float, tol: float = 1e-10) -> float:
     else:
         raise NotInteriorAtGhatError("interior effort never reaches the corner")
     lo = g_hat
-    while hi - lo > tol:
+    while hi - lo > GBAR_TOL:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -313,8 +314,8 @@ class ConsistencyReport:
     max_deviation_analytic: float
     grid_too_coarse: bool
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "grid_n": self.grid_n,
             "cell": self.cell,
             "max_deviation_direct": self.max_deviation_direct,
@@ -332,7 +333,6 @@ class ConsistencyReport:
                 for r in self.rows
             ],
         }
-        return json.dumps(doc, indent=2) + "\n"
 
 
 def check_consistency_grid(grid_n: int) -> None:
@@ -419,8 +419,12 @@ def culture_rsc_consistency(
         for j in reacting:
             if feasible[j]:
                 keys[j] = (reaction_value(t[j], j), -j)
-        residual = sorted(set(range(grid_n)) - set(reacting), key=lambda j: (-welfare[j], j))
-        menu = sum(1 << j for j in np.flatnonzero(feasible).tolist())
+        # Infeasible levels never meet the menu, so the residual chain lists
+        # only feasible ones and stage one stops at its head.
+        residual = sorted(
+            set(np.flatnonzero(feasible).tolist()) - set(reacting), key=lambda j: (-welfare[j], j)
+        )
+        menu = int.from_bytes(np.packbits(feasible, bitorder="little").tobytes(), "little")
         return two_stage_choice([residual] + [[j] for j in reacting], keys, menu)[0]
 
     cell = 1.0 / (grid_n - 1)

@@ -4,16 +4,19 @@ A decision maker with prior ``p < 1/2`` on state R picks one of four
 signal sources, observes the signal, updates by Bayes and acts.  The two
 moderate sources fully reveal the opposite state and leak the own state
 with precision ``lambda``; the extreme versions replace ``lambda`` with
-``delta = 1/2``.  Sources of the same bias form a type; the moderate
+``DELTA = 1/2``.  Sources of the same bias form a type; the moderate
 source always dominates its extreme sibling on informativeness, so the
 extreme one is only considered when the moderate one is missing - and in
 that case the reactance-adjusted payoffs (mistakes in the own-bias state
 cost nothing) govern the second stage.  Both stages are the shared kernel
 ``structure.two_stage_choice`` over the four sources.
 
-The crossing prior at which the extreme opposite source overtakes the
-moderate own-biased one in the reduced menu has the closed form
-``(1/2) / (5/2 - 2*lambda)``.
+As in the paper, only the prior ``p`` and the moderate precision
+``lambda`` vary.  The extreme precision ``DELTA`` and the payoffs
+(``ON_TARGET``, ``MISS``, ``MISS_REACTANCE``) are module constants: the
+crossing prior ``(1/2) / (5/2 - 2*lambda)`` at which the extreme opposite
+source overtakes the moderate own-biased one in the reduced menu, and
+``EXTREME_ACTION_CUTOFF``, hold for exactly these values.
 
 ``media_menu_choice`` decides one point.  ``media_sweep`` decides many
 (prior, precision) points in one numpy pass and backs ``sweep media`` and
@@ -27,7 +30,7 @@ bit for bit as on the scalar path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +42,14 @@ class InvalidParamsError(ChoiceModelError):
     code = "invalid-params"
 
 
+#: Precision of the extreme sources.
+DELTA = 0.5
+#: Action payoffs: ``ON_TARGET`` for the matching action (r in R, l in L),
+#: ``MISS`` for the mismatch; ``MISS_REACTANCE`` replaces ``MISS`` for
+#: extreme sources when reactance is active.
+ON_TARGET = 1.0
+MISS = -1.0
+MISS_REACTANCE = 0.0
 #: Posterior-on-R cutoff above which action r is taken after a signal from
 #: an extreme source under reactance (mistakes in the own-bias state are
 #: costless, so the bar sits below one half).
@@ -53,25 +64,9 @@ MENUS = {"M": 0b1111, "N": 0b1011}
 
 
 @dataclass(frozen=True)
-class PayoffSpec:
-    """Action payoffs by state; override only for sensitivity sweeps.
-
-    ``on_target`` pays for the matching action (r in R, l in L);
-    ``miss`` for the mismatch; ``miss_reactance`` replaces ``miss`` for
-    extreme sources when reactance is active.
-    """
-
-    on_target: float = 1.0
-    miss: float = -1.0
-    miss_reactance: float = 0.0
-
-
-@dataclass(frozen=True)
 class MediaParams:
     p: float
     lam: float
-    delta: float = 0.5
-    payoffs: PayoffSpec = field(default_factory=PayoffSpec)
 
     def __post_init__(self):
         if not 0.0 < self.p < 0.5:
@@ -80,36 +75,16 @@ class MediaParams:
             raise InvalidParamsError(
                 f"moderate precision lambda must lie in (1/2, 3/4), got {self.lam}"
             )
-        if self.delta != 0.5:
-            raise InvalidParamsError("extreme precision delta is fixed at 1/2")
 
 
-@dataclass(frozen=True)
-class SignalSource:
-    """Statistical experiment: rows are states (L, R), columns signals (sL, sR)."""
-
-    id: str
-    likelihoods: tuple[tuple[float, float], tuple[float, float]]
-
-    def __post_init__(self):
-        for row in self.likelihoods:
-            if abs(sum(row) - 1.0) > 1e-12:
-                raise InvalidParamsError(f"likelihood rows of {self.id} must sum to 1")
-
-
-def _likelihoods(lam, delta):
-    """Likelihood rows per source; ``lam`` may be a float or a numpy array."""
+def _likelihoods(lam):
+    """Likelihood rows per source: rows are states (L, R), columns signals
+    (sL, sR).  ``lam`` may be a float or a numpy array."""
     return {
         "sigmaL": ((1.0, 0.0), (1.0 - lam, lam)),
         "sigmaR": ((lam, 1.0 - lam), (0.0, 1.0)),
-        "sigmaLL": ((1.0, 0.0), (1.0 - delta, delta)),
-        "sigmaRR": ((delta, 1.0 - delta), (0.0, 1.0)),
-    }
-
-
-def signal_sources(params: MediaParams) -> dict[str, SignalSource]:
-    return {
-        s: SignalSource(s, rows) for s, rows in _likelihoods(params.lam, params.delta).items()
+        "sigmaLL": ((1.0, 0.0), (1.0 - DELTA, DELTA)),
+        "sigmaRR": ((DELTA, 1.0 - DELTA), (0.0, 1.0)),
     }
 
 
@@ -136,19 +111,17 @@ class MediaOutcome:
         return json.dumps(doc, indent=2) + "\n"
 
 
-def _signal_probability(source: SignalSource, p: float, signal: int) -> float:
-    return (1.0 - p) * source.likelihoods[0][signal] + p * source.likelihoods[1][signal]
+def _signal_probability(rows, p: float, signal: int) -> float:
+    return (1.0 - p) * rows[0][signal] + p * rows[1][signal]
 
-def _posterior(source: SignalSource, p: float, signal: int) -> float:
-    total = _signal_probability(source, p, signal)
+def _posterior(rows, p: float, signal: int) -> float:
+    total = _signal_probability(rows, p, signal)
     if total == 0.0:
         return p
-    return p * source.likelihoods[1][signal] / total
+    return p * rows[1][signal] / total
 
 
-def _signal_values(
-    q: float, pay: PayoffSpec, reactance: bool
-) -> tuple[float, float, str]:
+def _signal_values(q: float, reactance: bool) -> tuple[float, float, str]:
     """(value of l, value of r, optimal action) at posterior q on R.
 
     Moderate evaluation compares the symmetric payoffs directly.  Under
@@ -156,30 +129,27 @@ def _signal_values(
     action switches to r at the cutoff posterior, where the welfare loss
     of acting r in state L first equals the gain.
     """
-    if not reactance:
-        value_l = (1.0 - q) * pay.on_target + q * pay.miss
-        value_r = q * pay.on_target + (1.0 - q) * pay.miss
-        action = "r" if value_r > value_l else "l"
-        return value_l, value_r, action
-    value_l = (1.0 - q) * pay.on_target + q * pay.miss_reactance
-    value_r = q * pay.on_target + (1.0 - q) * pay.miss_reactance
-    action = "r" if q >= EXTREME_ACTION_CUTOFF else "l"
-    return value_l, value_r, action
+    miss = MISS_REACTANCE if reactance else MISS
+    value_l = (1.0 - q) * ON_TARGET + q * miss
+    value_r = q * ON_TARGET + (1.0 - q) * miss
+    if reactance:
+        return value_l, value_r, "r" if q >= EXTREME_ACTION_CUTOFF else "l"
+    return value_l, value_r, "r" if value_r > value_l else "l"
 
 
-def expected_value(source: SignalSource, p: float, pay: PayoffSpec, reactance: bool) -> float:
-    """Ex-ante value of attending to the source.
+def expected_value(rows, p: float, reactance: bool) -> float:
+    """Ex-ante value of attending to the source with likelihood ``rows``.
 
     Sum over signals of the probability of the signal times the value of
     the action then taken.
     """
     total = 0.0
     for signal in (0, 1):
-        prob = _signal_probability(source, p, signal)
+        prob = _signal_probability(rows, p, signal)
         if prob == 0.0:
             continue
-        q = _posterior(source, p, signal)
-        value_l, value_r, action = _signal_values(q, pay, reactance)
+        q = _posterior(rows, p, signal)
+        value_l, value_r, action = _signal_values(q, reactance)
         total += prob * (value_r if action == "r" else value_l)
     return total
 
@@ -208,14 +178,11 @@ def media_menu_choice(
     """
     if menu not in MENUS:
         raise InvalidParamsError(f"menu must be 'M' or 'N', got {menu!r}")
-    sources = signal_sources(params)
-    pay = params.payoffs
+    rows = _likelihoods(params.lam)
 
-    values_u = {s: expected_value(sources[s], params.p, pay, reactance=False) for s in SOURCES}
+    values_u = {s: expected_value(rows[s], params.p, reactance=False) for s in SOURCES}
     values_v = {
-        s: values_u[s]
-        if s in MODERATE
-        else expected_value(sources[s], params.p, pay, reactance=True)
+        s: values_u[s] if s in MODERATE else expected_value(rows[s], params.p, reactance=True)
         for s in SOURCES
     }
     stage2 = values_u if no_reactance else values_v
@@ -225,14 +192,13 @@ def media_menu_choice(
     chosen = SOURCES[best]
     consideration = tuple(s for i, s in enumerate(SOURCES) if (considered >> i) & 1)
 
-    src = sources[chosen]
     reactance_applies = (chosen not in MODERATE) and not no_reactance
     posterior_by_signal: dict[str, float] = {}
     action_by_signal: dict[str, str] = {}
     for signal, name in ((0, "sL"), (1, "sR")):
-        q = _posterior(src, params.p, signal)
+        q = _posterior(rows[chosen], params.p, signal)
         posterior_by_signal[name] = q
-        _, _, action = _signal_values(q, pay, reactance_applies)
+        _, _, action = _signal_values(q, reactance_applies)
         action_by_signal[name] = action
     return MediaOutcome(
         chosen_source=chosen,
@@ -244,7 +210,7 @@ def media_menu_choice(
     )
 
 
-def _expected_values(rows, p: np.ndarray, pay: PayoffSpec, reactance: bool) -> np.ndarray:
+def _expected_values(rows, p: np.ndarray, reactance: bool) -> np.ndarray:
     """``expected_value`` at every prior in ``p``, operation for operation.
 
     ``rows`` are a source's likelihood rows, whose entries may be arrays
@@ -257,9 +223,9 @@ def _expected_values(rows, p: np.ndarray, pay: PayoffSpec, reactance: bool) -> n
         l0, l1 = rows[0][signal], rows[1][signal]
         prob = (1.0 - p) * l0 + p * l1
         q = np.divide(p * l1, prob, out=p.copy(), where=prob != 0.0)
-        miss = pay.miss_reactance if reactance else pay.miss
-        value_l = (1.0 - q) * pay.on_target + q * miss
-        value_r = q * pay.on_target + (1.0 - q) * miss
+        miss = MISS_REACTANCE if reactance else MISS
+        value_l = (1.0 - q) * ON_TARGET + q * miss
+        value_r = q * ON_TARGET + (1.0 - q) * miss
         take_r = q >= EXTREME_ACTION_CUTOFF if reactance else value_r > value_l
         total = np.where(prob == 0.0, total, total + prob * np.where(take_r, value_r, value_l))
     return total
@@ -287,10 +253,9 @@ def media_sweep(ps, lams, menu: str) -> tuple[np.ndarray, np.ndarray, np.ndarray
         raise InvalidParamsError(f"menu must be 'M' or 'N', got {menu!r}")
     _, considered = two_stage_choice(TYPE_CHAINS, [0] * len(SOURCES), MENUS[menu])
     members = [i for i in range(len(SOURCES)) if (considered >> i) & 1]
-    rows = _likelihoods(lams, 0.5)  # MediaParams fixes delta at 1/2
-    pay = PayoffSpec()
+    rows = _likelihoods(lams)
     values = {
-        s: _expected_values(rows[s], ps, pay, reactance=s not in MODERATE)
+        s: _expected_values(rows[s], ps, reactance=s not in MODERATE)
         for s in dict.fromkeys([SOURCES[i] for i in members] + ["sigmaL", "sigmaRR"])
     }
     chosen = np.full(ps.shape, members[0])

@@ -149,24 +149,17 @@ def single_deletion_switches(cf: ChoiceFunction) -> tuple[tuple[int, ...], tuple
     return tuple(before), tuple(after)
 
 
-def reaction_menu_scan(cf: ChoiceFunction) -> BinaryRelation:
-    """Arbitrary-menu variant of the reaction relation.
-
-    x reacts to the absence of y iff some menu A satisfies
-    ``x = c(A \\ {y}) != c(A) != y``.  Cost 2^n menus instead of n^3
-    triples; meant for cross-checking the triple-based default.
-    """
-    return BinaryRelation(cf.ground, single_deletion_switches(cf)[1], strict=True)
-
-
 def reaction_crosscheck(cf: ChoiceFunction) -> dict[str, list[tuple[str, str]]]:
     """Discrepancies between the triple-based and arbitrary-menu reaction.
 
+    Under the arbitrary-menu definition x reacts to the absence of y iff
+    some menu A satisfies ``x = c(A \\ {y}) != c(A) != y``: the ``after``
+    rows of ``single_deletion_switches``, 2^n menus instead of n^3 triples.
     Returns pairs present only under one definition; both lists empty means
     the two definitions coincide on this function.
     """
     triple, _ = reveal_reaction(cf)
-    menus = reaction_menu_scan(cf)
+    menus = BinaryRelation(cf.ground, single_deletion_switches(cf)[1], strict=True)
     only_triple = sorted(set(triple.pairs()) - set(menus.pairs()))
     only_menu = sorted(set(menus.pairs()) - set(triple.pairs()))
     return {"only_in_triple_scan": only_triple, "only_in_menu_scan": only_menu}

@@ -50,11 +50,6 @@ class RSStructure:
         if self.welfare.ground != self.ground or self.reaction_pref.ground != self.ground:
             raise ValueError("order ground set mismatch")
 
-    def to_json(self) -> str:
-        from .core import serialize_structure_json
-
-        return serialize_structure_json(self)
-
 
 @dataclass(frozen=True)
 class SinglePeakedCertificate:
@@ -506,9 +501,11 @@ def minimal_structure(
 
     The emitted certificate's threshold per type must equal the
     revealed-worst option with no outgoing reaction, and its peak the
-    revealed-best option with no incoming reaction; both identities are
-    asserted against the reaction relation (a mismatch is a bug, not an
-    input error).
+    revealed-best option of the weakly-below-threshold interval with no
+    incoming reaction.  The synthesis trace records exactly these
+    (``thresholds``, ``peak_candidates``, read off the reaction relation),
+    so both identities are asserted against it (a mismatch is a bug, not
+    an input error).
     """
     report = reveal(cf)
     if validate:
@@ -517,7 +514,7 @@ def minimal_structure(
             raise AxiomViolationError(
                 "choice function fails SPR", verdicts=[verdict]
             )
-    structure, _ = synthesize_rs(
+    structure, trace = synthesize_rs(
         cf, validate=validate, welfare_tie_break=welfare_tie_break, report=report
     )
     certificate = certify_single_peaked(structure)
@@ -525,32 +522,8 @@ def minimal_structure(
         if validate:
             raise AssertionError("certification failed on an SPR-clean function")
         raise AxiomViolationError("structure is not single-peaked")
-
-    ground = cf.ground
-    r1 = structure.welfare.ranks()
-    reaction_rows = report.reaction.rows
-    reacted_to = [0] * ground.size
-    for x in range(ground.size):
-        for y in iter_bits(reaction_rows[x]):
-            reacted_to[y] = 1
-    for block in structure.types.blocks:
-        members = [ground.index[name] for name in block]
-        no_outgoing = [m for m in members if reaction_rows[m] == 0]
-        assert no_outgoing, "nonempty by the axiom structure"
-        formula_threshold = max(no_outgoing, key=r1.__getitem__)
-        # Peak identity is read on the weakly-below-threshold interval; the
-        # never-reacted-to options above the threshold do not compete (with
-        # no reactions at all the interval degenerates to the threshold).
-        lower = [m for m in members if r1[m] >= r1[formula_threshold]]
-        no_incoming = [m for m in lower if not reacted_to[m]]
-        assert no_incoming, "the interval bottom never has incoming reactions"
-        formula_peak = ground.options[min(no_incoming, key=r1.__getitem__)]
-        assert certificate.thresholds[block] == ground.options[formula_threshold], (
-            f"threshold identity failed on type {block}"
-        )
-        assert certificate.peaks[block] == formula_peak, (
-            f"peak identity failed on type {block}"
-        )
+    assert certificate.thresholds == trace.thresholds, "threshold identity failed"
+    assert certificate.peaks == trace.peak_candidates, "peak identity failed"
     return structure, certificate
 
 

@@ -25,6 +25,7 @@ from rschoice.culture import (
     transmission_value,
 )
 from rschoice.media import InvalidParamsError
+from rschoice.structure import two_stage_choice
 
 
 BASE = dict(beta=2.0, g_hat=2.0, v_hat=2.0, lambda_r=1.5, g=3.0, q0=0.3)
@@ -177,6 +178,50 @@ def test_consistency_deviation_shrinks_with_refinement():
     coarse = culture_rsc_consistency(params, 200, g_values)
     fine = culture_rsc_consistency(params, 400, g_values)
     assert fine.max_deviation_analytic < coarse.max_deviation_analytic
+
+
+def _full_lattice_pick(params: CultureParams, grid_n: int, g: float, reacting: list[int]):
+    """Two-stage pick with every non-reacting level, feasible or not, in the
+    residual chain and the menu built one bit per feasible level."""
+    ghat, vhat, lr = params.g_hat, params.v_hat, params.lambda_r
+    ds = np.linspace(0.0, 1.0, grid_n)
+    cost = ds ** params.beta
+    prob = ds + (1.0 - ds) * params.q0
+    t = 1.0 - g * cost
+    feasible = t >= 0.0
+    t = np.where(feasible, t, 0.0)
+    welfare = (t + prob * vhat).tolist()
+    keys = [(w, -j) for j, w in enumerate(welfare)]
+    for j in reacting:
+        if feasible[j]:
+            implied = (1.0 - t[j]) / cost[j]
+            value = vhat if implied <= ghat else transmission_value(implied, ghat, vhat, lr)
+            keys[j] = (t[j] + prob[j] * value, -j)
+    residual = sorted(set(range(grid_n)) - set(reacting), key=lambda j: (-welfare[j], j))
+    menu = 0
+    for j in range(grid_n):
+        if feasible[j]:
+            menu |= 1 << j
+    jr = two_stage_choice([residual] + [[j] for j in reacting], keys, menu)[0]
+    return float(t[jr]), float(ds[jr])
+
+
+@pytest.mark.parametrize("grid_n", [10, 23, 60, 200])
+@pytest.mark.parametrize("lambda_r", [1.0, 1.5, 4.0])
+def test_consistency_pick_matches_full_lattice_menu(grid_n, lambda_r):
+    params = CultureParams(**dict(BASE, lambda_r=lambda_r))
+    g_bar = culture_gbar(params, params.q0)
+    g_values = tuple(float(g) for g in np.linspace(1.0, 2.0 * g_bar, 15))
+    report = culture_rsc_consistency(params, grid_n, g_values)
+    ds = np.linspace(0.0, 1.0, grid_n).tolist()
+    # The reacting levels are the direct picks above the threshold, as in
+    # the structure the report is built from.
+    reacting = sorted(
+        {ds.index(row.direct[1]) for row in report.rows if row.g > params.g_hat} - {0}
+    )
+    assert reacting
+    for row in report.rows:
+        assert row.two_stage == _full_lattice_pick(params, grid_n, row.g, reacting)
 
 
 def test_consistency_grid_guard():
