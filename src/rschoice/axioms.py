@@ -106,12 +106,9 @@ def _exp_witnesses(cf: ChoiceFunction) -> Iterator[tuple]:
     for mask in range(1, ground.full_mask + 1):
         by_chosen[choices[mask]].append(mask)
     transform_steps = ground.size << ground.size
-    table = None
     for x, menus in enumerate(by_chosen):
         if len(menus) * (len(menus) - 1) // 2 > transform_steps:
-            if table is None:
-                table = np.fromiter(choices, dtype=np.int8, count=len(choices))
-            if _union_closed(table, x):
+            if _union_closed(cf.table, x):
                 continue
         for ai in range(len(menus)):
             a = menus[ai]

@@ -67,6 +67,10 @@ class OutputPathError(ChoiceModelError):
     code = "invalid-output-path"
 
 
+class InvalidSeedError(ChoiceModelError):
+    code = "invalid-seed"
+
+
 def _read_input(path: str) -> bytes:
     if path == "-":
         return sys.stdin.buffer.read()
@@ -208,8 +212,19 @@ def cmd_simulate_culture(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sweep_seed(args: argparse.Namespace) -> int:
+    """``--seed``, else ``$RSCHOICE_SEED``, else 0; read only by ``sweep``."""
+    if args.seed is not None:
+        return args.seed
+    raw = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise InvalidSeedError(f"${SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
-    rng = random.Random(args.seed)
+    rng = random.Random(_sweep_seed(args))
     lines: list[str] = []
     if args.domain == "media":
         lam_values = _parse_range(args.lambda_range)
@@ -297,8 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rschoice",
         description="Analyze finite choice functions for restriction-sensitive behavior.",
     )
-    default_seed = int(os.environ.get(SEED_ENV_VAR, "0"))
-    parser.add_argument("--seed", type=int, default=default_seed,
+    parser.add_argument("--seed", type=int, default=None,
                         help=f"seed for randomized sweeps (default: ${SEED_ENV_VAR} or 0)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

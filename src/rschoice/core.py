@@ -10,10 +10,20 @@ identifiers sorted by ground-set position, joined by ``,``.  Each ground set
 builds the keys of all its 2^n masks once, on first use, into
 ``GroundSet.menu_keys``: the key of a mask extends the key of the mask without
 its top bit, so the table costs 2^n string joins.  Parsing, serializing and
-the freedom table read this one table.  Parsing compares each key with the
-table entry its position in a canonical file would have and falls back to
-``GroundSet.parse_menu_key`` only for keys out of that order or not in
-canonical form.
+the freedom table read this one table.  A canonical file, whose key list
+equals ``menu_keys[1:]``, is parsed in bulk: one list comparison, one map of
+the chosen labels to positions, and the membership check in
+``ChoiceFunction``.  Any other file, or a canonical one whose bulk build
+fails, is checked entry by entry, so errors name the first bad entry; keys
+out of canonical order or form go to ``GroundSet.parse_menu_key``.
+
+``ChoiceFunction.choices`` is a tuple of 2^n ints, and
+``ChoiceFunction.table`` is the same list as a cached read-only ``np.int8``
+array.  Whole-table passes run on that view or build one:
+``choice_from_order`` here, ``revealed.single_deletion_switches``,
+``structure.evaluate``, ``normative.bernheim_rangel_pstar`` and the
+Expansion gate.  Reshaping a table to ``(-1, 2, 1 << y)`` pairs every menu
+without option y (``[:, 0]``) with the same menu plus y (``[:, 1]``).
 """
 
 from __future__ import annotations
@@ -25,6 +35,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from typing import Iterator
+
+import numpy as np
 
 MENU_KEY_SEPARATOR = ","
 
@@ -243,7 +255,8 @@ class ChoiceFunction:
     """Total map from every nonempty menu to a member option.
 
     ``choices[mask]`` is the ground position of the chosen option;
-    entry 0 is unused (-1).
+    entry 0, the empty menu, is -1.  ``table`` holds the same entries as a
+    read-only ``np.int8`` array, built on first use.
     """
 
     ground: GroundSet
@@ -257,13 +270,32 @@ class ChoiceFunction:
             raise MissingMenuError(
                 f"choice table has {len(choices)} entries, expected {n_entries}"
             )
+        if choices[0] != -1:
+            raise ChoiceOutsideMenuError(
+                f"entry 0 (the empty menu) must be -1, got {choices[0]!r}"
+            )
         for mask in range(1, n_entries):
-            pick = choices[mask]
-            if not (mask >> pick) & 1:
-                raise ChoiceOutsideMenuError(
-                    f"chosen option {self.ground.options[pick]!r} is outside menu "
-                    f"{self.ground.menu_key(mask)!r}"
-                )
+            try:
+                if (mask >> choices[mask]) & 1:
+                    continue
+            except (TypeError, ValueError, OverflowError):
+                pass
+            raise self._outside_error(mask)
+
+    def _outside_error(self, mask: int) -> ChoiceOutsideMenuError:
+        pick, key, opts = self.choices[mask], self.ground.menu_key(mask), self.ground.options
+        if isinstance(pick, int) and 0 <= pick < len(opts):
+            return ChoiceOutsideMenuError(f"chosen option {opts[pick]!r} is outside menu {key!r}")
+        return ChoiceOutsideMenuError(
+            f"choice {pick!r} from menu {key!r} is not an option position 0..{len(opts) - 1}"
+        )
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """``choices`` as a read-only int8 array (n <= 24 fits)."""
+        table = np.fromiter(self.choices, dtype=np.int8, count=len(self.choices))
+        table.flags.writeable = False
+        return table
 
     def choose(self, members) -> str:
         """Chosen option label for a menu given as identifiers."""
@@ -274,13 +306,17 @@ class ChoiceFunction:
 
 
 def choice_from_order(order: LinearOrder) -> ChoiceFunction:
-    """Choice by maximization of a single linear order (satisfies IIA)."""
+    """Choice by maximization of a single linear order (satisfies IIA).
+
+    One masked pass per option, worst-ranked first: each option takes every
+    menu that contains it, so the best-ranked member is written last.
+    """
     ground = order.ground
-    r = order.ranks()
-    table = [-1] * (1 << ground.size)
-    for mask in range(1, 1 << ground.size):
-        table[mask] = min(iter_bits(mask), key=lambda i: r[i])
-    return ChoiceFunction(ground, tuple(table))
+    table = np.full(1 << ground.size, -1, dtype=np.int8)
+    for name in reversed(order.ranking):
+        pos = ground.index[name]
+        table.reshape(-1, 2, 1 << pos)[:, 1] = pos
+    return ChoiceFunction(ground, table.tolist())
 
 
 def enumerate_choice_functions(ground: GroundSet) -> Iterator[ChoiceFunction]:
@@ -352,19 +388,35 @@ def _reject_duplicate_keys(pairs):
     return doc
 
 
-def _function_from_entries(ground: GroundSet, entries) -> ChoiceFunction:
+def _is_canonical(ground: GroundSet, menus: list) -> bool:
+    """Whether ``menus`` lists every nonempty menu's key in serialized order.
+
+    The key table is built only for a file with one entry per nonempty
+    menu; a file with any other count cannot be complete.
+    """
+    return len(menus) == ground.full_mask and menus == list(ground.menu_keys[1:])
+
+
+def _function_from_entries(ground: GroundSet, menus: list, picks: list,
+                           canonical: bool) -> ChoiceFunction:
     """Check ``(menu key, chosen label)`` entries in order; build the function.
 
-    The i-th entry of a canonical file has key ``menu_keys[i]``; any other key
-    (out of that order, not canonical, or malformed) goes to
-    ``parse_menu_key``.  Only a file with one entry per nonempty menu can be
-    complete, so only then is the key table built; a file with any other
-    count fails below, and its keys are all parsed one by one.
+    A canonical file (``_is_canonical``) maps its labels in bulk and leaves
+    the membership check to ``ChoiceFunction``.  Any other file, and a
+    canonical one whose bulk build fails, goes through the entries one at a
+    time, so the first bad entry names the error: the i-th entry's key is
+    compared with ``menu_keys[i]``, and any other key (out of that order,
+    not canonical, or malformed) goes to ``parse_menu_key``.
     """
-    keys = ground.menu_keys if len(entries) == ground.full_mask else None
     index = ground.index
+    if canonical:
+        try:
+            return ChoiceFunction(ground, (-1, *map(index.__getitem__, picks)))
+        except (KeyError, TypeError, ChoiceOutsideMenuError):
+            pass
+    keys = ground.menu_keys if len(menus) == ground.full_mask else None
     table = [-1] * (ground.full_mask + 1)
-    for mask, (key, chosen) in enumerate(entries, 1):
+    for mask, (key, chosen) in enumerate(zip(menus, picks), 1):
         if keys is None or keys[mask] != key:
             mask = ground.parse_menu_key(key)
         if not isinstance(chosen, str):
@@ -382,6 +434,29 @@ def _function_from_entries(ground: GroundSet, entries) -> ChoiceFunction:
     return ChoiceFunction(ground, tuple(table))
 
 
+def _csv_ground(menus: list[str]) -> tuple[GroundSet, bool]:
+    """Options of a CSV file, and whether its keys are canonical.
+
+    A canonical file with 2^n - 1 rows lists option i alone at row 2^i - 1;
+    those options are kept when the whole key column then matches the key
+    table.  Otherwise the options are taken in order of first appearance
+    across the keys.
+    """
+    n = len(menus).bit_length()
+    singles = None
+    if len(menus) == (1 << n) - 1:
+        try:
+            singles = GroundSet(tuple(menus[(1 << i) - 1] for i in range(n)))
+        except ChoiceModelError:
+            pass
+        else:
+            if _is_canonical(singles, menus):
+                return singles, True
+    names = chain.from_iterable(key.split(MENU_KEY_SEPARATOR) for key in menus)
+    ground = GroundSet(tuple(dict.fromkeys(names)))
+    return (singles if singles == ground else ground), False
+
+
 def parse_choice_function(text: bytes | str, format: str = "json") -> ChoiceFunction:
     """Parse and validate a choice function from JSON or CSV bytes."""
     text = _decode(text)
@@ -393,7 +468,8 @@ def parse_choice_function(text: bytes | str, format: str = "json") -> ChoiceFunc
         if not isinstance(doc["choices"], dict):
             raise MalformedKeyError("'choices' must be an object mapping menu keys to options")
         ground = GroundSet(options)
-        entries = doc["choices"].items()
+        menus, picks = list(doc["choices"]), list(doc["choices"].values())
+        canonical = _is_canonical(ground, menus)
     elif format == "csv":
         reader = csv.reader(io.StringIO(text))
         rows = [row for row in reader if row]
@@ -403,12 +479,11 @@ def parse_choice_function(text: bytes | str, format: str = "json") -> ChoiceFunc
         for row in entries:
             if len(row) != 2:
                 raise MalformedKeyError(f"CSV row {row!r} does not have 2 fields")
-        # Options in order of first appearance across the keys.
-        names = chain.from_iterable(row[0].split(MENU_KEY_SEPARATOR) for row in entries)
-        ground = GroundSet(tuple(dict.fromkeys(names)))
+        menus, picks = [row[0] for row in entries], [row[1] for row in entries]
+        ground, canonical = _csv_ground(menus)
     else:
         raise MalformedKeyError(f"unknown format {format!r}")
-    return _function_from_entries(ground, entries)
+    return _function_from_entries(ground, menus, picks, canonical)
 
 
 def choice_function_doc(cf: ChoiceFunction) -> dict:

@@ -137,13 +137,15 @@ def improving_from_structure(
 
 def bernheim_rangel_pstar(cf: ChoiceFunction) -> BinaryRelation:
     """x over y iff x is sometimes chosen with y feasible and y is never
-    chosen with x feasible.  Asymmetric by construction."""
+    chosen with x feasible.  Asymmetric by construction.  The options x is
+    chosen against are one OR-reduce of the menus where ``cf.table == x``."""
     ground = cf.ground
     n = ground.size
-    chosen_against = [0] * n  # bit y: x chosen from some menu containing y
-    for mask in range(1, ground.full_mask + 1):
-        x = cf.choices[mask]
-        chosen_against[x] |= mask & ~(1 << x)
+    masks = np.arange(1 << n, dtype=np.int32)
+    # bit y: x chosen from some menu containing y
+    chosen_against = [
+        int(np.bitwise_or.reduce(masks, where=cf.table == x)) & ~(1 << x) for x in range(n)
+    ]
     rows = [0] * n
     for x in range(n):
         for y in range(n):

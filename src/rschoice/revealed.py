@@ -8,12 +8,19 @@ Three objects are extracted from choice data:
   choice reverses toward ``x`` once ``y`` is gone);
 * subjective similarity: the equivalence closure of reaction connectivity,
   whose classes are the revealed types.
+
+``single_deletion_switches`` reads every choice reversal caused by removing
+one option off ``ChoiceFunction.table``, the int8 view of the choice table,
+in one numpy pass per removed option; ``reaction_crosscheck`` and
+``normative.masatlioglu_pr`` take its rows.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import ChoiceFunction, GroundSet, TypePartition, iter_bits
 
@@ -134,19 +141,20 @@ def single_deletion_switches(cf: ChoiceFunction) -> tuple[tuple[int, ...], tuple
 
     A switch is a menu A and an unchosen y in A with c(A \\ {y}) != c(A).
     Each switch sets bit y in ``before[c(A)]`` and in ``after[c(A \\ {y})]``;
-    the choice from A minus y is never y, so both are irreflexive.
+    the choice from A minus y is never y, so both are irreflexive.  One
+    numpy pass per y compares ``table[A]`` with ``table[A ^ 1 << y]`` over
+    the menus A that contain y.
     """
-    choices = cf.choices
-    before = [0] * cf.ground.size
-    after = [0] * cf.ground.size
-    for mask in range(1, cf.ground.full_mask + 1):
-        chosen = choices[mask]
-        for y in iter_bits(mask ^ (1 << chosen)):
-            x = choices[mask ^ (1 << y)]
-            if x != chosen:
-                before[chosen] |= 1 << y
-                after[x] |= 1 << y
-    return tuple(before), tuple(after)
+    table, n = cf.table, cf.ground.size
+    before = np.zeros(n, dtype=np.int64)
+    after = np.zeros(n, dtype=np.int64)
+    for y in range(n):
+        pairs = table.reshape(-1, 2, 1 << y)
+        without, chosen = pairs[:, 0], pairs[:, 1]
+        switch = (chosen != without) & (chosen != y)
+        before[np.bincount(chosen[switch], minlength=n) > 0] |= 1 << y
+        after[np.bincount(without[switch], minlength=n) > 0] |= 1 << y
+    return tuple(before.tolist()), tuple(after.tolist())
 
 
 def reaction_crosscheck(cf: ChoiceFunction) -> dict[str, list[tuple[str, str]]]:

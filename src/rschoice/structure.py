@@ -4,9 +4,11 @@ An ``RSStructure`` is a partition of the options into types plus two linear
 orders: a welfare order and a reaction order.  Choice from a menu is
 two-stage: keep the welfare-best available option of each type (the
 consideration set), then pick the reaction-best of those.  That rule is
-implemented once, in ``two_stage_choice``; ``evaluate`` and
+implemented once for a single menu, in ``two_stage_choice``:
 ``consideration_set`` here, ``media.media_menu_choice`` and
-``culture.culture_rsc_consistency`` all call it.
+``culture.culture_rsc_consistency`` call it.  ``evaluate`` runs the same
+rule on every menu at once, in masked numpy passes per type chain over an
+int8 table laid out like ``ChoiceFunction.table``.
 
 ``synthesize_rs`` inverts the model: given a choice function satisfying
 Expansion, NRS and IR it constructs a rationalizing structure whose types
@@ -22,6 +24,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .axioms import AxiomViolationError, check_exp, check_ir, check_nrs, check_spr
 from .core import (
@@ -143,12 +147,27 @@ def consideration_set(s: RSStructure, menu_mask: int) -> int:
 
 
 def evaluate(s: RSStructure) -> ChoiceFunction:
-    """Total choice function generated by the structure."""
+    """Total choice function generated by the structure, all menus at once.
+
+    ``two_stage_choice`` over whole-table arrays: per type chain, stage one
+    writes the chain's members into every menu containing them, welfare-worst
+    first, so the welfare-best member present is left; stage two keeps it
+    where its reaction key beats the best key so far.
+    """
     chains, keys = _kernel_inputs(s)
-    table = [-1] + [
-        two_stage_choice(chains, keys, mask)[0] for mask in range(1, s.ground.full_mask + 1)
-    ]
-    return ChoiceFunction(s.ground, tuple(table))
+    n = s.ground.size
+    chosen = np.full(1 << n, -1, dtype=np.int8)
+    best = np.full(1 << n, -n, dtype=np.int8)  # below every key -(n-1)..0
+    kept, kept_key = np.empty_like(chosen), np.empty_like(best)
+    for chain in chains:
+        kept.fill(-1)
+        kept_key.fill(-n)
+        for member in reversed(chain):
+            kept.reshape(-1, 2, 1 << member)[:, 1] = member
+            kept_key.reshape(-1, 2, 1 << member)[:, 1] = keys[member]
+        np.copyto(chosen, kept, where=kept_key > best)
+        np.maximum(best, kept_key, out=best)
+    return ChoiceFunction(s.ground, chosen.tolist())
 
 
 def reaction_characterization(s: RSStructure) -> BinaryRelation:

@@ -318,6 +318,18 @@ def test_seed_env_var_sets_default(capsys, monkeypatch):
     assert with_env == explicit
 
 
+def test_non_integer_seed_env_var_fails_only_the_sweep(capsys, monkeypatch, detergent_file):
+    clean = run(capsys, "check-axioms", detergent_file)
+    default = run(capsys, "sweep", "media", "--samples", "5")
+    monkeypatch.setenv("RSCHOICE_SEED", "abc")
+    assert run(capsys, "check-axioms", detergent_file) == clean
+    code, out, err = run(capsys, "sweep", "media", "--samples", "5")
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "invalid-seed"
+    assert run(capsys, "--seed", "0", "sweep", "media", "--samples", "5") == default
+
+
 def test_repeated_runs_are_byte_identical(capsys, detergent_file):
     _, first, _ = run(capsys, "synthesize", detergent_file)
     _, second, _ = run(capsys, "synthesize", detergent_file)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,6 +73,32 @@ def test_choice_function_validation():
         ChoiceFunction(ground, (-1, 0, 0, 0))  # menu {y} assigned x
     with pytest.raises(MissingMenuError):
         ChoiceFunction(ground, (-1, 0, 1))
+
+
+@pytest.mark.parametrize("choices,message", [
+    ((-1, 0, -1, 1), r"^choice -1 from menu 'y' is not an option position 0\.\.1$"),
+    ((-1, 0, 1, 5), r"^choice 5 from menu 'x,y' is not an option position 0\.\.1$"),
+    ((-1, 0, 1, 10**100), r"^choice 1000.* from menu 'x,y' is not an option position"),
+    ((-1, 0.0, 1, 0), r"^choice 0\.0 from menu 'x' is not an option position 0\.\.1$"),
+    ((-1, "x", 1, 0), r"^choice 'x' from menu 'x' is not an option position 0\.\.1$"),
+    ((-1, None, 1, 0), r"^choice None from menu 'x' is not an option position 0\.\.1$"),
+    ((-1, 0, 0, 0), r"^chosen option 'x' is outside menu 'y'$"),
+    ((0, 0, 1, 0), r"^entry 0 \(the empty menu\) must be -1, got 0$"),
+    ((None, 0, 1, 0), r"^entry 0 \(the empty menu\) must be -1, got None$"),
+])
+def test_choice_function_rejects_bad_picks_with_a_coded_error(choices, message):
+    with pytest.raises(ChoiceOutsideMenuError, match=message):
+        ChoiceFunction(GroundSet(("x", "y")), choices)
+
+
+def test_choice_function_table_is_a_read_only_int8_view_of_choices():
+    cf = choice_from_order(LinearOrder(GroundSet(("x", "y", "z")), ("z", "x", "y")))
+    assert cf.table.dtype == np.int8
+    assert cf.table.tolist() == list(cf.choices)
+    assert cf.table[0] == -1
+    assert cf.table is cf.table
+    with pytest.raises(ValueError):
+        cf.table[1] = 0
 
 
 @pytest.mark.parametrize("size,count", [(2, 2), (3, 24), (4, 20736)])

@@ -269,3 +269,50 @@ def test_wrong_entry_count_is_rejected_without_building_the_key_table(monkeypatc
         with pytest.raises(MissingMenuError, match="^menu 'o0' has no entry$"):
             parse_choice_function(text, fmt)
         _assert_same(text, fmt)
+
+
+def _late_bad_entries(cf: ChoiceFunction, fmt: str) -> dict[str, list[list]]:
+    """Canonical entries with one bad choice near the end of the file, at the
+    menu of every option but the first."""
+    entries = _entries(cf)
+    late = cf.ground.full_mask ^ 1
+    key, chosen = entries[late - 1]
+    cases = {"unknown label": "zz", "outside-menu choice": cf.ground.options[0]}
+    if fmt == "json":
+        cases.update({"number": 5, "null": None, "boolean": True, "list": [chosen], "object": {}})
+    return {name: entries[:late - 1] + [[key, value]] + entries[late:]
+            for name, value in cases.items()}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_canonical_file_with_a_late_bad_entry_matches_reference(fmt):
+    """The bulk path for canonical files falls back to the entry loop on any
+    bad choice, so the error names the same entry as the reference."""
+    rng = random.Random(17)
+    expected = {"unknown label": UnknownOptionError, "outside-menu choice": ChoiceOutsideMenuError,
+                "number": MalformedKeyError, "null": MalformedKeyError,
+                "boolean": MalformedKeyError, "list": MalformedKeyError,
+                "object": MalformedKeyError}
+    for size in (2, 3, 5, 8):
+        cf = random_choice_function(rng, ground_of_size(size))
+        assert _assert_same(_render(cf.ground.options, _entries(cf), fmt), fmt) == (
+            cf.ground.options, cf.choices)
+        for name, entries in _late_bad_entries(cf, fmt).items():
+            got = _assert_same(_render(cf.ground.options, entries, fmt), fmt)
+            assert got[0] is expected[name], (name, got)
+            assert repr(entries[(cf.ground.full_mask ^ 1) - 1][0]) in got[1], (name, got)
+
+
+@pytest.mark.parametrize("text", [
+    'menu,choice\nx,x\ny,y\n"x,y",y\n',
+    'menu,choice\nb,b\na,a\n"b,a",a\nc,c\n"b,c",c\n"a,c",a\n"b,a,c",c\n',
+    'menu,choice\ny,y\nx,x\n"x,y",x\nz,z\n"x,z",z\n"y,z",y\n"x,y,z",x\n',
+    'menu,choice\n"x,y",x\nx,x\ny,y\n',
+    'menu,choice\nx,x\nx,x\n"x,y",x\n',
+    'menu,choice\nx,x\ny,y\n"x,y",x\nz,z\n"x,z",z\n"y,z",y\nw,w\n',
+    'menu,choice\nx,x\n,y\n"x,y",x\n',
+])
+def test_csv_options_from_singleton_rows_match_first_appearance(text):
+    """A CSV file with 2^n - 1 rows takes its options from rows 2^i - 1 only
+    when its key column is then canonical; otherwise from first appearance."""
+    _assert_same(text, "csv")
