@@ -256,7 +256,8 @@ class ChoiceFunction:
 
     ``choices[mask]`` is the ground position of the chosen option;
     entry 0, the empty menu, is -1.  ``table`` holds the same entries as a
-    read-only ``np.int8`` array, built on first use.
+    read-only ``np.int8`` array, built on first use; a whole-table kernel
+    hands its own array in through ``_from_table``.
     """
 
     ground: GroundSet
@@ -290,6 +291,19 @@ class ChoiceFunction:
             f"choice {pick!r} from menu {key!r} is not an option position 0..{len(opts) - 1}"
         )
 
+    @classmethod
+    def _from_table(cls, ground: GroundSet, table: np.ndarray) -> "ChoiceFunction":
+        """Wrap an int8 table that a whole-table kernel built valid.
+
+        Skips the per-menu check and keeps ``table`` as the cached view.
+        """
+        cf = object.__new__(cls)
+        object.__setattr__(cf, "ground", ground)
+        object.__setattr__(cf, "choices", tuple(table.tolist()))
+        table.flags.writeable = False
+        cf.__dict__["table"] = table
+        return cf
+
     @cached_property
     def table(self) -> np.ndarray:
         """``choices`` as a read-only int8 array (n <= 24 fits)."""
@@ -316,7 +330,7 @@ def choice_from_order(order: LinearOrder) -> ChoiceFunction:
     for name in reversed(order.ranking):
         pos = ground.index[name]
         table.reshape(-1, 2, 1 << pos)[:, 1] = pos
-    return ChoiceFunction(ground, table.tolist())
+    return ChoiceFunction._from_table(ground, table)
 
 
 def enumerate_choice_functions(ground: GroundSet) -> Iterator[ChoiceFunction]:
@@ -397,8 +411,7 @@ def _is_canonical(ground: GroundSet, menus: list) -> bool:
     return len(menus) == ground.full_mask and menus == list(ground.menu_keys[1:])
 
 
-def _function_from_entries(ground: GroundSet, menus: list, picks: list,
-                           canonical: bool) -> ChoiceFunction:
+def _function_from_entries(ground: GroundSet, menus: list, picks: list) -> ChoiceFunction:
     """Check ``(menu key, chosen label)`` entries in order; build the function.
 
     A canonical file (``_is_canonical``) maps its labels in bulk and leaves
@@ -409,7 +422,7 @@ def _function_from_entries(ground: GroundSet, menus: list, picks: list,
     not canonical, or malformed) goes to ``parse_menu_key``.
     """
     index = ground.index
-    if canonical:
+    if _is_canonical(ground, menus):
         try:
             return ChoiceFunction(ground, (-1, *map(index.__getitem__, picks)))
         except (KeyError, TypeError, ChoiceOutsideMenuError):
@@ -434,29 +447,6 @@ def _function_from_entries(ground: GroundSet, menus: list, picks: list,
     return ChoiceFunction(ground, tuple(table))
 
 
-def _csv_ground(menus: list[str]) -> tuple[GroundSet, bool]:
-    """Options of a CSV file, and whether its keys are canonical.
-
-    A canonical file with 2^n - 1 rows lists option i alone at row 2^i - 1;
-    those options are kept when the whole key column then matches the key
-    table.  Otherwise the options are taken in order of first appearance
-    across the keys.
-    """
-    n = len(menus).bit_length()
-    singles = None
-    if len(menus) == (1 << n) - 1:
-        try:
-            singles = GroundSet(tuple(menus[(1 << i) - 1] for i in range(n)))
-        except ChoiceModelError:
-            pass
-        else:
-            if _is_canonical(singles, menus):
-                return singles, True
-    names = chain.from_iterable(key.split(MENU_KEY_SEPARATOR) for key in menus)
-    ground = GroundSet(tuple(dict.fromkeys(names)))
-    return (singles if singles == ground else ground), False
-
-
 def parse_choice_function(text: bytes | str, format: str = "json") -> ChoiceFunction:
     """Parse and validate a choice function from JSON or CSV bytes."""
     text = _decode(text)
@@ -469,7 +459,6 @@ def parse_choice_function(text: bytes | str, format: str = "json") -> ChoiceFunc
             raise MalformedKeyError("'choices' must be an object mapping menu keys to options")
         ground = GroundSet(options)
         menus, picks = list(doc["choices"]), list(doc["choices"].values())
-        canonical = _is_canonical(ground, menus)
     elif format == "csv":
         reader = csv.reader(io.StringIO(text))
         rows = [row for row in reader if row]
@@ -480,10 +469,12 @@ def parse_choice_function(text: bytes | str, format: str = "json") -> ChoiceFunc
             if len(row) != 2:
                 raise MalformedKeyError(f"CSV row {row!r} does not have 2 fields")
         menus, picks = [row[0] for row in entries], [row[1] for row in entries]
-        ground, canonical = _csv_ground(menus)
+        # Options in order of first appearance across the keys.
+        names = chain.from_iterable(key.split(MENU_KEY_SEPARATOR) for key in menus)
+        ground = GroundSet(tuple(dict.fromkeys(names)))
     else:
         raise MalformedKeyError(f"unknown format {format!r}")
-    return _function_from_entries(ground, menus, picks, canonical)
+    return _function_from_entries(ground, menus, picks)
 
 
 def choice_function_doc(cf: ChoiceFunction) -> dict:

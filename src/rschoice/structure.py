@@ -167,7 +167,7 @@ def evaluate(s: RSStructure) -> ChoiceFunction:
             kept_key.reshape(-1, 2, 1 << member)[:, 1] = keys[member]
         np.copyto(chosen, kept, where=kept_key > best)
         np.maximum(best, kept_key, out=best)
-    return ChoiceFunction(s.ground, chosen.tolist())
+    return ChoiceFunction._from_table(s.ground, chosen)
 
 
 def reaction_characterization(s: RSStructure) -> BinaryRelation:

@@ -99,6 +99,15 @@ def _cases(size: int):
             yield kind, ChoiceFunction(ground, choices)
 
 
+def _assert_trusted_table(cf: ChoiceFunction) -> None:
+    """A kernel's function skips validation, so it must equal the validated
+    one and carry its kernel table as the read-only view."""
+    assert all(type(c) is int for c in cf.choices)
+    assert cf == ChoiceFunction(cf.ground, cf.choices)
+    assert cf.table.dtype == "int8" and not cf.table.flags.writeable
+    assert cf.table.tolist() == list(cf.choices)
+
+
 @pytest.mark.parametrize("size", [*range(2, 9), 12])
 def test_table_kernels_match_their_references(size):
     switching = 0
@@ -119,7 +128,7 @@ def test_evaluate_matches_two_stage_choice_on_every_menu(size):
         s = make(rng, ground)
         cf = evaluate(s)
         assert cf.choices == evaluate_reference(s)
-        assert all(type(c) is int for c in cf.choices)
+        _assert_trusted_table(cf)
 
 
 @pytest.mark.parametrize("size", [*range(2, 9), 12])
@@ -130,4 +139,4 @@ def test_choice_from_order_matches_the_best_ranked_member(size):
         order = random_order(rng, ground)
         cf = choice_from_order(order)
         assert cf.choices == order_reference(order)
-        assert all(type(c) is int for c in cf.choices)
+        _assert_trusted_table(cf)

@@ -312,7 +312,7 @@ def test_canonical_file_with_a_late_bad_entry_matches_reference(fmt):
     'menu,choice\nx,x\ny,y\n"x,y",x\nz,z\n"x,z",z\n"y,z",y\nw,w\n',
     'menu,choice\nx,x\n,y\n"x,y",x\n',
 ])
-def test_csv_options_from_singleton_rows_match_first_appearance(text):
-    """A CSV file with 2^n - 1 rows takes its options from rows 2^i - 1 only
-    when its key column is then canonical; otherwise from first appearance."""
+def test_csv_options_in_first_appearance_order_match_reference(text):
+    """CSV files with 2^n - 1 rows, canonical or not, take their options in
+    order of first appearance across the keys, as the reference does."""
     _assert_same(text, "csv")
