@@ -19,6 +19,7 @@ NRS and SPR.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterator
@@ -76,10 +77,11 @@ class AxiomVerdict:
 def _verdict(axiom: str, witnesses: Iterator[tuple], cap: int) -> AxiomVerdict:
     """Verdict from a witness stream: the first ``cap`` witnesses, and
     ``truncated`` when one more exists.  A witness past the cap still
-    refutes the axiom."""
+    refutes the axiom.  Witness streams are finite, so a cap of
+    ``sys.maxsize`` or more, past ``islice``'s range, reads the whole stream."""
     if cap < 0:
         raise ValueError(f"violation cap must be nonnegative, got {cap}")
-    items = list(islice(witnesses, cap + 1))
+    items = list(islice(witnesses, cap + 1 if cap < sys.maxsize else None))
     return AxiomVerdict(axiom, not items, tuple(items[:cap]), len(items) > cap)
 
 

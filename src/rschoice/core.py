@@ -484,6 +484,15 @@ def choice_function_doc(cf: ChoiceFunction) -> dict:
     return {"options": list(ground.options), "choices": dict(zip(ground.menu_keys[1:], chosen))}
 
 
+def structure_doc(structure) -> dict:
+    """JSON document of an ``RSStructure``: its types, then both orders best-first."""
+    return {
+        "types": [list(b) for b in structure.types.blocks],
+        "welfare": list(structure.welfare.ranking),
+        "reaction": list(structure.reaction_pref.ranking),
+    }
+
+
 def serialize_choice_function(cf: ChoiceFunction, format: str = "json") -> str:
     """Canonical textual form; menus in ascending bit-pattern order."""
     if format == "json":
@@ -525,9 +534,4 @@ def parse_structure_json(text: bytes | str):
 
 
 def serialize_structure_json(structure) -> str:
-    doc = {
-        "types": [list(b) for b in structure.types.blocks],
-        "welfare": list(structure.welfare.ranking),
-        "reaction": list(structure.reaction_pref.ranking),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(structure_doc(structure), indent=2) + "\n"

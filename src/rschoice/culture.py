@@ -13,8 +13,10 @@ The interior first-order effort is ``((1 - q) / beta * V(g) / g) ** (1 /
 Population shares follow the replicator-style flow
 ``dq = q (1 - q) (d_minority - d_majority)`` whose interior rest point is
 ``q* = (V(g)/g) / (V(1) + V(g)/g)``.  ``culture_rsc_consistency`` checks
-that the two-order structure, evaluated by the shared kernel
-``structure.two_stage_choice``, reproduces direct maximization.
+on a lattice that the two-order structure reproduces direct maximization.
+Per policy it builds the frontier and the direct pick once, reads the
+residual type's stage-one head by argmax, and runs the shared kernel
+``structure.two_stage_choice`` on that head and the reacting levels only.
 
 ``culture_dynamics`` integrates the flow with fixed-step RK4 and stops at
 the first step that returns its input exactly.  That stop is exact: the
@@ -28,6 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import ChoiceModelError
 from .media import InvalidParamsError
@@ -49,9 +53,10 @@ class GridBudgetError(ChoiceModelError):
 #: Most RK4 steps one ``culture_dynamics`` run may take: 50 times the CLI
 #: default of 200 / 0.01.
 MAX_CULTURE_STEPS = 1_000_000
-#: Largest ``culture_rsc_consistency`` lattice.  Its cost grows a little
-#: faster than linearly: 0.47 s and 72 MB peak at 100 000, 5.4 s and 380 MB at
-#: 10^6 (one run each on a shared 2-core machine).
+#: Largest ``culture_rsc_consistency`` lattice.  Its cost is a few array
+#: passes per policy, linear in the grid: 0.02 s and 44 MB peak at 100 000,
+#: 0.2-0.4 s and 169 MB at 10^6 (whole process, default parameters, shared
+#: 2-core machine).
 MAX_CONSISTENCY_GRID = 100_000
 #: Bracket width at which the ``culture_gbar`` bisection stops.
 GBAR_TOL = 1e-10
@@ -150,12 +155,17 @@ def effort(beta: float, value: float, g: float, q: float) -> float:
     """Optimal effort: min of the budget corner and the interior solution.
 
     ``q`` is the probability the child picks up the trait anyway through
-    oblique transmission; at ``q = 1`` the interior branch vanishes.
+    oblique transmission; at ``q = 1`` the interior branch vanishes.  An
+    interior branch beyond the float range (``beta`` near 1) lies above the
+    corner, so the corner is returned.
     """
     corner = (1.0 / g) ** (1.0 / beta)
     if q >= 1.0:
         return 0.0
-    interior = ((1.0 - q) / beta * value / g) ** (1.0 / (beta - 1.0))
+    try:
+        interior = ((1.0 - q) / beta * value / g) ** (1.0 / (beta - 1.0))
+    except OverflowError:
+        return corner
     return min(corner, interior)
 
 
@@ -216,10 +226,10 @@ def culture_gbar(params: CultureParams, q: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def steady_state(params: CultureParams, policy_g: float | None = None) -> float:
+def steady_state(params: CultureParams) -> float:
     """Interior rest point of the share flow:
     q* = (V(g)/g) / (V(1) + V(g)/g)."""
-    g = params.g if policy_g is None else policy_g
+    g = params.g
     vg = transmission_value(g, params.g_hat, params.v_hat, params.lambda_r) / g
     return vg / (params.v_hat + vg)
 
@@ -369,17 +379,18 @@ def culture_rsc_consistency(
     ``(1 - t) / d**beta`` stays weakly below the threshold, and inflates by
     the transmission value at the implied policy beyond it.
 
-    Two-stage choice per policy runs in ``structure.two_stage_choice``:
-    welfare-best feasible point of each type, then reaction-best among
-    those, the smallest effort winning ties in both stages.  Deviations are
-    sup-norm distances in the allocation square between the selections.
+    Two-stage choice per policy: welfare-best feasible point of each type,
+    then reaction-best among those, the smallest effort winning ties in both
+    stages.  Stage one of the residual type is a numpy argmax over the
+    lattice; ``structure.two_stage_choice`` then runs on its head and the
+    feasible reacting levels (at most one per evaluated policy), so each
+    policy costs a few array passes.  Deviations are sup-norm distances in
+    the allocation square between the selections.
 
     ``g_values`` defaults to 10 evenly spaced policies from 1 to twice the
     corner-crossing policy.
     """
     check_consistency_grid(grid_n)
-    import numpy as np
-
     beta, ghat, vhat, lr = params.beta, params.g_hat, params.v_hat, params.lambda_r
     q = params.q0
     if g_values is None:
@@ -391,20 +402,17 @@ def culture_rsc_consistency(
     ds = np.linspace(0.0, 1.0, grid_n)
     cost = ds ** beta
     prob = ds + (1.0 - ds) * q
-
-    def frontier(g: float):
-        """Feasible columns and their budget-binding leisure under g."""
+    # Once per policy: the budget-binding leisure of every column (negative
+    # where infeasible) and the direct pick, whose first maximum is the smallest effort.
+    policies = []
+    for g in g_values:
+        value = transmission_value(g, ghat, vhat, lr)
         t = 1.0 - g * cost
         feasible = t >= 0.0
-        return feasible, np.where(feasible, t, 0.0)
-
-    def direct_argmax(g: float) -> int:
-        value = transmission_value(g, ghat, vhat, lr)
-        feasible, t = frontier(g)
-        objective = np.where(feasible, t + prob * value, -np.inf)
-        return int(np.argmax(objective))  # first max: smallest effort wins ties
-
-    reacting = sorted({direct_argmax(g) for g in g_values if g > ghat} - {0})
+        direct = int(np.argmax(np.where(feasible, t + prob * value, -np.inf)))
+        policies.append((g, value, t, feasible, direct))
+    reacting = sorted({jd for g, _, _, _, jd in policies if g > ghat} - {0})
+    residual = np.isin(np.arange(grid_n), reacting, invert=True)
 
     def reaction_value(t: float, j: int) -> float:
         implied = (1.0 - t) / cost[j]
@@ -412,29 +420,20 @@ def culture_rsc_consistency(
             return t + prob[j] * vhat
         return t + prob[j] * transmission_value(implied, ghat, vhat, lr)
 
-    def two_stage_argmax(g: float) -> int:
-        feasible, t = frontier(g)
-        welfare = (t + prob * vhat).tolist()
-        keys = [(w, -j) for j, w in enumerate(welfare)]
-        for j in reacting:
-            if feasible[j]:
-                keys[j] = (reaction_value(t[j], j), -j)
-        # Infeasible levels never meet the menu, so the residual chain lists
-        # only feasible ones and stage one stops at its head.
-        residual = sorted(
-            set(np.flatnonzero(feasible).tolist()) - set(reacting), key=lambda j: (-welfare[j], j)
-        )
-        menu = int.from_bytes(np.packbits(feasible, bitorder="little").tobytes(), "little")
-        return two_stage_choice([residual] + [[j] for j in reacting], keys, menu)[0]
-
     cell = 1.0 / (grid_n - 1)
     rows = []
     worst_direct = worst_analytic = 0.0
-    for g in g_values:
-        value = transmission_value(g, ghat, vhat, lr)
-        _, t = frontier(g)
-        jd = direct_argmax(g)
-        jr = two_stage_argmax(g)
+    for g, value, t, feasible, jd in policies:
+        # Stage one of the residual type keeps its welfare-best feasible
+        # level, the smallest effort on ties; zero effort is always feasible
+        # and never reacting.  Each feasible reacting level is its own type.
+        welfare = np.where(feasible & residual, t + prob * vhat, -np.inf)
+        levels = [int(np.argmax(welfare))] + [j for j in reacting if feasible[j]]
+        keys = [(welfare[levels[0]], -levels[0])]
+        keys += [(reaction_value(t[j], j), -j) for j in levels[1:]]
+        chains = [[k] for k in range(len(levels))]
+        local, _ = two_stage_choice(chains, keys, (1 << len(levels)) - 1)
+        jr = levels[local]
         d_star = effort(beta, value, g, q)
         t_star = max(0.0, 1.0 - g * d_star ** beta)
         pt_d = (float(t[jd]), float(ds[jd]))

@@ -75,7 +75,6 @@ class WelfareReport:
 def welfare_improving(
     cf: ChoiceFunction,
     transitive_closure: bool = False,
-    welfare_tie_break=None,
 ) -> BinaryRelation:
     """Welfare-improving relation from the minimal single-peaked structure.
 
@@ -86,11 +85,11 @@ def welfare_improving(
 
     The direct two-clause relation is returned by default; pass
     ``transitive_closure=True`` to close it.  The relation only reads
-    within-type welfare comparisons and the reaction order, so it is
-    invariant to ``welfare_tie_break`` (exposed to let tests confirm that).
+    within-type welfare comparisons and the reaction order, so it does not
+    depend on how the synthesis extends the within-type welfare chains.
     """
     try:
-        structure, certificate = minimal_structure(cf, welfare_tie_break=welfare_tie_break)
+        structure, certificate = minimal_structure(cf)
     except AxiomViolationError as exc:
         raise NotSinglePeakedRSCError(
             f"not a single-peaked restriction-sensitive choice: {exc}"

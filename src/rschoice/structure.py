@@ -35,6 +35,7 @@ from .core import (
     LinearOrder,
     TypePartition,
     iter_bits,
+    structure_doc,
 )
 from .revealed import BinaryRelation, RevealedReport, reveal
 
@@ -219,7 +220,6 @@ def _within_type_ranking(strict_rows: Sequence[int], tmask: int, members: list[i
 def synthesize_rs(
     cf: ChoiceFunction,
     validate: bool = True,
-    welfare_tie_break: Sequence[str] | None = None,
     report: RevealedReport | None = None,
 ) -> tuple[RSStructure, SynthesisTrace]:
     """Construct a rationalizing structure for an axiom-clean function.
@@ -237,17 +237,13 @@ def synthesize_rs(
     5. the reaction order glues the per-type tie-broken orders (within a
        type) to pairwise revealed choice (across types);
     6. the welfare order is a deterministic linear extension (topological,
-       smallest tie-break first) of the within-type rankings.
+       ties to the earlier ground-set position) of the within-type rankings.
 
     With ``validate=True`` the Expansion/NRS/IR verdicts are computed first
     and an ``AxiomViolationError`` carries them on failure; construction
     trouble after a clean validation is a bug and raises ``AssertionError``.
     With ``validate=False`` any construction impossibility or a failed
     regeneration check raises ``AxiomViolationError`` without verdicts.
-
-    ``welfare_tie_break`` optionally reorders the extension's tie-breaking
-    priority (a permutation of the option labels); the default is ground-set
-    order.
     """
     ground = cf.ground
     if report is None:
@@ -268,7 +264,7 @@ def synthesize_rs(
             )
 
     try:
-        structure, trace = _construct(cf, report, welfare_tie_break)
+        structure, trace = _construct(cf, report)
     except _ConstructionFailure as exc:
         if validate:
             raise AssertionError(f"construction failed after clean validation: {exc}") from exc
@@ -281,11 +277,7 @@ def synthesize_rs(
     return structure, trace
 
 
-def _construct(
-    cf: ChoiceFunction,
-    report: RevealedReport,
-    welfare_tie_break: Sequence[str] | None,
-) -> tuple[RSStructure, SynthesisTrace]:
+def _construct(cf: ChoiceFunction, report: RevealedReport) -> tuple[RSStructure, SynthesisTrace]:
     ground = cf.ground
     n = ground.size
     strict_rows = report.strict_pref.rows
@@ -386,7 +378,7 @@ def _construct(
         ground.options[i] for i in sorted(range(n), key=lambda i: -wins2[i])
     )
 
-    ranking1, extension_log = _linear_extension(ground, type_chains, welfare_tie_break)
+    ranking1, extension_log = _linear_extension(ground, type_chains)
 
     structure = RSStructure(
         ground=ground,
@@ -404,31 +396,21 @@ def _construct(
 
 
 def _linear_extension(
-    ground: GroundSet,
-    type_chains: list[list[int]],
-    tie_break: Sequence[str] | None,
+    ground: GroundSet, type_chains: list[list[int]]
 ) -> tuple[tuple[str, ...], tuple[tuple[str, tuple[str, ...]], ...]]:
     """Topological extension of the disjoint within-type chains.
 
-    Ready options are emitted best-first; ties go to the smallest
-    tie-break priority (ground-set order unless overridden).
+    Ready options are emitted best-first; ties go to the earlier ground-set
+    position.
     """
     n = ground.size
-    if tie_break is None:
-        priority = list(range(n))
-    else:
-        if sorted(tie_break) != sorted(ground.options):
-            raise ValueError("tie break must be a permutation of the option labels")
-        priority = [0] * n
-        for rank, name in enumerate(tie_break):
-            priority[ground.index[name]] = rank
     successor = [-1] * n
     in_deg = [0] * n
     for chain in type_chains:
         for a, b in zip(chain, chain[1:]):
             successor[a] = b
             in_deg[b] += 1
-    ready = sorted((i for i in range(n) if in_deg[i] == 0), key=priority.__getitem__)
+    ready = [i for i in range(n) if in_deg[i] == 0]
     out: list[str] = []
     log: list[tuple[str, tuple[str, ...]]] = []
     while ready:
@@ -442,7 +424,7 @@ def _linear_extension(
             in_deg[nxt] -= 1
             if in_deg[nxt] == 0:
                 ready.append(nxt)
-                ready.sort(key=priority.__getitem__)
+                ready.sort()
     if len(out) != n:
         raise _ConstructionFailure("welfare extension left a cycle")
     return tuple(out), tuple(log)
@@ -514,7 +496,6 @@ def certify_single_peaked(s: RSStructure) -> SinglePeakedCertificate:
 def minimal_structure(
     cf: ChoiceFunction,
     validate: bool = True,
-    welfare_tie_break: Sequence[str] | None = None,
 ) -> tuple[RSStructure, SinglePeakedCertificate]:
     """Synthesize and certify, pinning the canonical threshold identities.
 
@@ -533,9 +514,7 @@ def minimal_structure(
             raise AxiomViolationError(
                 "choice function fails SPR", verdicts=[verdict]
             )
-    structure, trace = synthesize_rs(
-        cf, validate=validate, welfare_tie_break=welfare_tie_break, report=report
-    )
+    structure, trace = synthesize_rs(cf, validate=validate, report=report)
     certificate = certify_single_peaked(structure)
     if not certificate.verified:
         if validate:
@@ -588,11 +567,7 @@ def enumerate_structures(ground: GroundSet) -> Iterator[RSStructure]:
 def synthesis_report_json(structure: RSStructure, certificate: SinglePeakedCertificate,
                           trace: SynthesisTrace) -> str:
     doc = {
-        "structure": {
-            "types": [list(b) for b in structure.types.blocks],
-            "welfare": list(structure.welfare.ranking),
-            "reaction": list(structure.reaction_pref.ranking),
-        },
+        "structure": structure_doc(structure),
         "certificate": certificate.to_dict(),
         "trace": trace.to_dict(),
     }

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import sys
 
 import pytest
 
@@ -218,6 +219,9 @@ def test_violation_cap_and_determinism(rng):
         assert full.axiom == axiom and not full.truncated
         assert full.holds == (not full.violations)
         assert check(10**9) == full
+        # caps past the islice index range read the whole (finite) stream
+        for cap in (sys.maxsize, sys.maxsize + 1, 10**30):
+            assert check(cap) == full
         for cap in (0, 1, 3):
             capped = check(cap)
             assert capped.violations == full.violations[:cap]

@@ -59,6 +59,13 @@ def test_check_axioms_cap_zero_still_fails_and_negative_cap_is_rejected(capsys, 
     assert json.loads(err)["error"] == "invalid-range"
 
 
+def test_check_axioms_cap_past_the_index_range_lists_every_violation(capsys, tsm1_file):
+    expected = run(capsys, "check-axioms", tsm1_file, "--cap", "1000")
+    assert expected[0] == 1 and expected[2] == ""
+    for cap in ("9223372036854775807", "99999999999999999999999"):
+        assert run(capsys, "check-axioms", tsm1_file, "--cap", cap) == expected
+
+
 def test_synthesize_detergent(capsys, detergent_file):
     code, out, _ = run(capsys, "synthesize", detergent_file)
     assert code == 0
@@ -403,6 +410,14 @@ def test_simulate_culture_ends_when_g_bar_passes_float_resolution(capsys):
                            "--horizon", "1")
         assert code == 0
         assert json.loads(out)["g_bar"] == pytest.approx(g_bar)
+
+
+def test_simulate_culture_with_beta_near_one_exits_cleanly(capsys):
+    """The interior effort overflows a float here; the budget corner binds."""
+    code, out, err = run(capsys, "simulate-culture", "--beta", "1.0000001", "--g-hat", "2",
+                         "--v-hat", "2", "--lambda-r", "1.5", "--g", "3", "--q0", "0.3")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["q_end"] == 0.3
 
 
 def test_sweep_point_budget_rejects_before_any_point_is_evaluated(capsys, monkeypatch):

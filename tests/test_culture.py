@@ -38,6 +38,16 @@ def test_effort_formula_examples():
     assert effort(3.0, 10.0, 1.0, 0.0) == 1.0  # corner binds
 
 
+def test_effort_past_the_float_range_is_the_budget_corner():
+    # ((1 - 0.3) / beta * 100 / 3) ** 1e7 overflows a float
+    assert effort(1.0000001, 100.0, 3.0, 0.3) == (1.0 / 3.0) ** (1.0 / 1.0000001)
+    assert effort(1.0000001, 1.0, 3.0, 0.3) == 0.0  # the interior branch underflows
+    # The majority's interior effort overflows too: it sits at its corner, 1.
+    assert effort(1.0000001, 2.0, 1.0, 0.1) == 1.0
+    params = CultureParams(**dict(BASE, beta=1.0000001, q0=0.9, horizon=1.0))
+    assert 0.0 <= culture_dynamics(params).q_end < 0.9
+
+
 def test_transmission_value_shape():
     assert transmission_value(1.5, 2.0, 2.0, 1.5) == 2.0
     assert transmission_value(2.0, 2.0, 2.0, 1.5) == 2.0
@@ -206,12 +216,7 @@ def _full_lattice_pick(params: CultureParams, grid_n: int, g: float, reacting: l
     return float(t[jr]), float(ds[jr])
 
 
-@pytest.mark.parametrize("grid_n", [10, 23, 60, 200])
-@pytest.mark.parametrize("lambda_r", [1.0, 1.5, 4.0])
-def test_consistency_pick_matches_full_lattice_menu(grid_n, lambda_r):
-    params = CultureParams(**dict(BASE, lambda_r=lambda_r))
-    g_bar = culture_gbar(params, params.q0)
-    g_values = tuple(float(g) for g in np.linspace(1.0, 2.0 * g_bar, 15))
+def _assert_picks_match_full_lattice(params: CultureParams, grid_n: int, g_values):
     report = culture_rsc_consistency(params, grid_n, g_values)
     ds = np.linspace(0.0, 1.0, grid_n).tolist()
     # The reacting levels are the direct picks above the threshold, as in
@@ -222,6 +227,37 @@ def test_consistency_pick_matches_full_lattice_menu(grid_n, lambda_r):
     assert reacting
     for row in report.rows:
         assert row.two_stage == _full_lattice_pick(params, grid_n, row.g, reacting)
+
+
+def _consistency_params(case) -> CultureParams:
+    """A reactance rate on ``BASE``, or for ``randomK`` the first draw from
+    the benchmark generator's ranges, seeded with that name, whose effort is
+    interior at the threshold."""
+    if not isinstance(case, str):
+        return CultureParams(**dict(BASE, lambda_r=case))
+    rng = random.Random(case)
+    while True:
+        params = _random_params(rng, 200.0)
+        try:
+            culture_gbar(params, params.q0)
+        except NotInteriorAtGhatError:
+            continue
+        return params
+
+
+@pytest.mark.parametrize("grid_n", [10, 23, 60, 200])
+@pytest.mark.parametrize("case", [1.0, 1.5, 4.0, "random0", "random1", "random2", "random3"])
+def test_consistency_pick_matches_full_lattice_menu(grid_n, case):
+    params = _consistency_params(case)
+    g_bar = culture_gbar(params, params.q0)
+    g_values = tuple(float(g) for g in np.linspace(1.0, 2.0 * g_bar, 15))
+    _assert_picks_match_full_lattice(params, grid_n, g_values)
+
+
+def test_consistency_pick_matches_full_lattice_menu_at_the_grid_budget():
+    params = CultureParams(**BASE)
+    g_bar = culture_gbar(params, params.q0)
+    _assert_picks_match_full_lattice(params, MAX_CONSISTENCY_GRID, (1.0, g_bar, 2.0 * g_bar))
 
 
 def test_consistency_grid_guard():

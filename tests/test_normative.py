@@ -21,13 +21,16 @@ from rschoice.normative import (
     freedom_model,
     freedom_model_from_choice,
     freedom_ranking,
+    improving_from_structure,
     is_richer,
     masatlioglu_pr,
     welfare_improving,
     welfare_report,
 )
-from rschoice.structure import RSStructure, evaluate
+from rschoice.structure import RSStructure, certify_single_peaked, evaluate, minimal_structure
 from rschoice.axioms import tsm_choice, tsm_fixture_spr_violation
+
+from conftest import reextended
 
 
 def test_improving_without_conservative():
@@ -111,15 +114,21 @@ def test_improving_irreflexive_and_closure_flag():
 
 
 def test_improving_invariant_to_welfare_extension_tie_break(rng):
+    moved = 0
     for _ in range(30):
         s = random_single_peaked_structure(rng, ground_of_size(5))
         cf = evaluate(s)
         base = welfare_improving(cf)
-        names = list(cf.ground.options)
+        structure, certificate = minimal_structure(cf)
+        assert improving_from_structure(structure, certificate).rows == base.rows
         for _ in range(3):
-            rng.shuffle(names)
-            permuted = welfare_improving(cf, welfare_tie_break=tuple(names))
-            assert permuted.rows == base.rows
+            other = reextended(structure, rng)
+            moved += other.welfare.ranking != structure.welfare.ranking
+            assert evaluate(other).choices == cf.choices
+            other_certificate = certify_single_peaked(other)
+            assert other_certificate == certificate
+            assert improving_from_structure(other, other_certificate).rows == base.rows
+    assert moved
 
 
 def test_welfare_requires_single_peaked_input():
