@@ -375,7 +375,7 @@ def tsm_choice(spec: TSMSpec) -> ChoiceFunction:
                 f"{bin(final).count('1')} options"
             )
         table[mask] = final.bit_length() - 1
-    return ChoiceFunction(ground, tuple(table))
+    return ChoiceFunction(ground, table)
 
 
 def _dominators_table(rows: tuple[int, ...], n: int) -> list[int]:

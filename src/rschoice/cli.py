@@ -26,7 +26,7 @@ from .core import (
     GroundSet,
     MalformedKeyError,
     choice_function_doc,
-    enumerate_choice_functions,
+    enumerate_tables,
     parse_choice_function,
     parse_structure_json,
 )
@@ -281,15 +281,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.limit is not None and args.limit < 0:
         raise InvalidRangeError(f"--limit must be nonnegative, got {args.limit}")
     ground = GroundSet(tuple(args.options.split(",")))
+    tables = enumerate_tables(ground)
     if args.count_only:
-        count = sum(1 for _ in enumerate_choice_functions(ground))
-        _emit(json.dumps({"count": count}) + "\n", args.out)
+        _emit(json.dumps({"count": len(tables)}) + "\n", args.out)
         return 0
-    chunks = []
-    for k, cf in enumerate(enumerate_choice_functions(ground)):
-        if args.limit is not None and k >= args.limit:
-            break
-        chunks.append(json.dumps(choice_function_doc(cf)))
+    chunks = [json.dumps(choice_function_doc(ground, table)) for table in tables[:args.limit]]
     _emit("\n".join(chunks) + ("\n" if chunks else ""), args.out)
     return 0
 

@@ -17,13 +17,14 @@ the chosen labels to positions, and the membership check in
 fails, is checked entry by entry, so errors name the first bad entry; keys
 out of canonical order or form go to ``GroundSet.parse_menu_key``.
 
-``ChoiceFunction.choices`` is a tuple of 2^n ints, and
-``ChoiceFunction.table`` is the same list as a cached read-only ``np.int8``
-array.  Whole-table passes run on that view or build one:
-``choice_from_order`` here, ``revealed.single_deletion_switches``,
-``structure.evaluate``, ``normative.bernheim_rangel_pstar`` and the
-Expansion gate.  Reshaping a table to ``(-1, 2, 1 << y)`` pairs every menu
-without option y (``[:, 0]``) with the same menu plus y (``[:, 1]``).
+A ``ChoiceFunction`` stores its 2^n picks as one read-only ``np.int8``
+array, ``table``, checked in one numpy pass when it is built.  Whole-table
+passes run on it: ``choice_from_order`` here,
+``revealed.single_deletion_switches``, ``structure.evaluate``,
+``normative.bernheim_rangel_pstar`` and the Expansion gate.  Reshaping a
+table to ``(-1, 2, 1 << y)`` pairs every menu without option y (``[:, 0]``)
+with the same menu plus y (``[:, 1]``).  The per-menu scans read
+``choices``, the same picks as a tuple of ints.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, product
 from typing import Iterator
 
 import numpy as np
@@ -250,73 +251,78 @@ class TypePartition:
         return cls(ground, tuple(tuple(g) for g in groups.values()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiceFunction:
     """Total map from every nonempty menu to a member option.
 
-    ``choices[mask]`` is the ground position of the chosen option;
-    entry 0, the empty menu, is -1.  ``table`` holds the same entries as a
-    read-only ``np.int8`` array, built on first use; a whole-table kernel
-    hands its own array in through ``_from_table``.
+    ``table[mask]`` is the ground position of the option chosen from menu
+    ``mask``; entry 0, the empty menu, is -1.  The constructor takes the
+    2^n entries as a sequence or an integer array and keeps a read-only
+    ``np.int8`` copy (n <= 24 fits), so the caller's object may change
+    later.  Two functions are equal when their grounds and tables are.
     """
 
     ground: GroundSet
-    choices: tuple[int, ...]
+    table: np.ndarray
 
     def __post_init__(self):
-        choices = tuple(self.choices)
-        object.__setattr__(self, "choices", choices)
-        n_entries = (1 << self.ground.size)
-        if len(choices) != n_entries:
-            raise MissingMenuError(
-                f"choice table has {len(choices)} entries, expected {n_entries}"
-            )
+        choices, n = self.table, self.ground.size
+        if len(choices) != 1 << n:
+            raise MissingMenuError(f"choice table has {len(choices)} entries, expected {1 << n}")
         if choices[0] != -1:
-            raise ChoiceOutsideMenuError(
-                f"entry 0 (the empty menu) must be -1, got {choices[0]!r}"
-            )
-        for mask in range(1, n_entries):
-            try:
-                if (mask >> choices[mask]) & 1:
-                    continue
-            except (TypeError, ValueError, OverflowError):
-                pass
-            raise self._outside_error(mask)
+            raise self._outside_error(0, choices[0])
+        try:
+            table = np.array(choices)
+        except ValueError:  # some pick is a sequence
+            table = np.array(None)
+        if table.dtype.kind != "i" or table.ndim != 1:
+            # Floats, strings, None, sequences or ints past int64: every
+            # entry other than an int in 0..n-1 is bad.
+            table = np.array([-1, *(c if isinstance(c, (int, np.integer)) and 0 <= c < n else -1
+                                    for c in choices[1:])])
+        # numpy shifts by a negative or too wide amount give 0, so bit
+        # table[mask] of mask is set exactly when the pick is in the menu.
+        inside = np.arange(1 << n, dtype=np.promote_types(table.dtype, np.int32))
+        np.right_shift(inside, table, out=inside)
+        inside &= 1
+        mask = int(inside[1:].argmin()) + 1
+        if not inside[mask]:
+            raise self._outside_error(mask, choices[mask])
+        table = table.astype(np.int8, copy=False)
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
 
-    def _outside_error(self, mask: int) -> ChoiceOutsideMenuError:
-        pick, key, opts = self.choices[mask], self.ground.menu_key(mask), self.ground.options
+    def _outside_error(self, mask: int, pick) -> ChoiceOutsideMenuError:
+        if isinstance(pick, np.generic):
+            pick = pick.item()
+        key, opts = self.ground.menu_key(mask), self.ground.options
+        if mask == 0:
+            return ChoiceOutsideMenuError(f"entry 0 (the empty menu) must be -1, got {pick!r}")
         if isinstance(pick, int) and 0 <= pick < len(opts):
             return ChoiceOutsideMenuError(f"chosen option {opts[pick]!r} is outside menu {key!r}")
         return ChoiceOutsideMenuError(
             f"choice {pick!r} from menu {key!r} is not an option position 0..{len(opts) - 1}"
         )
 
-    @classmethod
-    def _from_table(cls, ground: GroundSet, table: np.ndarray) -> "ChoiceFunction":
-        """Wrap an int8 table that a whole-table kernel built valid.
-
-        Skips the per-menu check and keeps ``table`` as the cached view.
-        """
-        cf = object.__new__(cls)
-        object.__setattr__(cf, "ground", ground)
-        object.__setattr__(cf, "choices", tuple(table.tolist()))
-        table.flags.writeable = False
-        cf.__dict__["table"] = table
-        return cf
-
     @cached_property
-    def table(self) -> np.ndarray:
-        """``choices`` as a read-only int8 array (n <= 24 fits)."""
-        table = np.fromiter(self.choices, dtype=np.int8, count=len(self.choices))
-        table.flags.writeable = False
-        return table
+    def choices(self) -> tuple[int, ...]:
+        """``table`` as a tuple of ints, for the per-menu scans."""
+        return tuple(self.table.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, ChoiceFunction):
+            return NotImplemented
+        return self.ground == other.ground and self.table.tobytes() == other.table.tobytes()
+
+    def __hash__(self):
+        return hash((self.ground, self.table.tobytes()))
 
     def choose(self, members) -> str:
         """Chosen option label for a menu given as identifiers."""
         mask = self.ground.mask_of(members)
         if mask == 0:
             raise MalformedKeyError("empty menu")
-        return self.ground.options[self.choices[mask]]
+        return self.ground.options[int(self.table[mask])]
 
 
 def choice_from_order(order: LinearOrder) -> ChoiceFunction:
@@ -330,38 +336,29 @@ def choice_from_order(order: LinearOrder) -> ChoiceFunction:
     for name in reversed(order.ranking):
         pos = ground.index[name]
         table.reshape(-1, 2, 1 << pos)[:, 1] = pos
-    return ChoiceFunction._from_table(ground, table)
+    return ChoiceFunction(ground, table)
 
 
-def enumerate_choice_functions(ground: GroundSet) -> Iterator[ChoiceFunction]:
-    """Every total choice function, exactly once, in a deterministic order.
+def enumerate_tables(ground: GroundSet) -> np.ndarray:
+    """Every total choice table, exactly once, as the rows of one int8 array.
 
-    The stream walks an odometer over menus in ascending-mask order, the
-    digit for each menu running over its members in ascending position.
+    The rows are ``itertools.product`` over menus in ascending-mask order,
+    the pick for each menu running over its members in ascending position.
     Guarded: the count is prod_A |A|, so only |X| <= 4 is allowed.
     """
     if ground.size > MAX_ENUMERATION_SIZE:
         raise GroundSetTooLargeError(
             f"full enumeration capped at |X| <= {MAX_ENUMERATION_SIZE}"
         )
-    masks = [m for m in range(1, ground.full_mask + 1)]
-    members = [list(iter_bits(m)) for m in masks]
-    digits = [0] * len(masks)
-    size = 1 << ground.size
-    while True:
-        table = [-1] * size
-        for k, m in enumerate(masks):
-            table[m] = members[k][digits[k]]
-        yield ChoiceFunction(ground, tuple(table))
-        k = len(masks) - 1
-        while k >= 0:
-            digits[k] += 1
-            if digits[k] < len(members[k]):
-                break
-            digits[k] = 0
-            k -= 1
-        if k < 0:
-            return
+    members = [list(iter_bits(m)) for m in range(1, ground.full_mask + 1)]
+    tables = np.fromiter(chain.from_iterable(product([-1], *members)), np.int8)
+    return tables.reshape(-1, 1 << ground.size)
+
+
+def enumerate_choice_functions(ground: GroundSet) -> Iterator[ChoiceFunction]:
+    """A ``ChoiceFunction`` for each row of ``enumerate_tables``, in order."""
+    for table in enumerate_tables(ground):
+        yield ChoiceFunction(ground, table)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +421,8 @@ def _function_from_entries(ground: GroundSet, menus: list, picks: list) -> Choic
     index = ground.index
     if _is_canonical(ground, menus):
         try:
-            return ChoiceFunction(ground, (-1, *map(index.__getitem__, picks)))
+            positions = chain((-1,), map(index.__getitem__, picks))
+            return ChoiceFunction(ground, np.fromiter(positions, np.int8, len(menus) + 1))
         except (KeyError, TypeError, ChoiceOutsideMenuError):
             pass
     keys = ground.menu_keys if len(menus) == ground.full_mask else None
@@ -444,7 +442,7 @@ def _function_from_entries(ground: GroundSet, menus: list, picks: list) -> Choic
         table[mask] = pos
     if keys is None:
         raise MissingMenuError(f"menu {ground.menu_key(table.index(-1, 1))!r} has no entry")
-    return ChoiceFunction(ground, tuple(table))
+    return ChoiceFunction(ground, table)
 
 
 def parse_choice_function(text: bytes | str, format: str = "json") -> ChoiceFunction:
@@ -477,10 +475,10 @@ def parse_choice_function(text: bytes | str, format: str = "json") -> ChoiceFunc
     return _function_from_entries(ground, menus, picks)
 
 
-def choice_function_doc(cf: ChoiceFunction) -> dict:
-    """JSON document of ``cf``: its options, then its menus in ascending bit pattern."""
-    ground = cf.ground
-    chosen = map(ground.options.__getitem__, cf.choices[1:])
+def choice_function_doc(ground: GroundSet, table: np.ndarray) -> dict:
+    """JSON document of the choice table ``table`` on ``ground``: its options,
+    then its menus in ascending bit pattern."""
+    chosen = map(ground.options.__getitem__, table.tolist()[1:])
     return {"options": list(ground.options), "choices": dict(zip(ground.menu_keys[1:], chosen))}
 
 
@@ -496,12 +494,12 @@ def structure_doc(structure) -> dict:
 def serialize_choice_function(cf: ChoiceFunction, format: str = "json") -> str:
     """Canonical textual form; menus in ascending bit-pattern order."""
     if format == "json":
-        return json.dumps(choice_function_doc(cf), indent=2) + "\n"
+        return json.dumps(choice_function_doc(cf.ground, cf.table), indent=2) + "\n"
     if format == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["menu", "choice"])
-        writer.writerows(choice_function_doc(cf)["choices"].items())
+        writer.writerows(choice_function_doc(cf.ground, cf.table)["choices"].items())
         return out.getvalue()
     raise MalformedKeyError(f"unknown format {format!r}")
 

@@ -91,6 +91,9 @@ class CultureParams:
             raise InvalidParamsError(f"reactance rate lambda_r must be at least 1, got {self.lambda_r}")
         if not self.g >= 1.0:
             raise InvalidParamsError(f"policy g must be at least 1, got {self.g}")
+        for name in ("beta", "g_hat", "v_hat", "lambda_r", "g"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParamsError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.q0 < 1.0:
             raise InvalidParamsError(f"initial share q0 must lie in (0, 1), got {self.q0}")
         if not self.dt > 0.0 or not self.horizon > 0.0:

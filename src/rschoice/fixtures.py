@@ -30,7 +30,7 @@ def detergent_choice() -> ChoiceFunction:
     table[0b110] = 2
     table[0b101] = 0
     table[0b111] = 2
-    return ChoiceFunction(ground, tuple(table))
+    return ChoiceFunction(ground, table)
 
 
 def worked_structure() -> RSStructure:

@@ -50,7 +50,7 @@ def random_choice_function(rng: random.Random, ground: GroundSet) -> ChoiceFunct
     for mask in range(1, ground.full_mask + 1):
         members = list(iter_bits(mask))
         table[mask] = rng.choice(members)
-    return ChoiceFunction(ground, tuple(table))
+    return ChoiceFunction(ground, table)
 
 
 def _fold_lower(rng: random.Random, line: list[int]) -> list[int]:

@@ -10,8 +10,8 @@ Three objects are extracted from choice data:
   whose classes are the revealed types.
 
 ``single_deletion_switches`` reads every choice reversal caused by removing
-one option off ``ChoiceFunction.table``, the int8 view of the choice table,
-in one numpy pass per removed option; ``reaction_crosscheck`` and
+one option off ``ChoiceFunction.table``, the stored int8 choice table, in
+one numpy pass per removed option; ``reaction_crosscheck`` and
 ``normative.masatlioglu_pr`` take its rows.
 """
 

@@ -168,7 +168,7 @@ def evaluate(s: RSStructure) -> ChoiceFunction:
             kept_key.reshape(-1, 2, 1 << member)[:, 1] = keys[member]
         np.copyto(chosen, kept, where=kept_key > best)
         np.maximum(best, kept_key, out=best)
-    return ChoiceFunction._from_table(s.ground, chosen)
+    return ChoiceFunction(s.ground, chosen)
 
 
 def reaction_characterization(s: RSStructure) -> BinaryRelation:
@@ -270,7 +270,7 @@ def synthesize_rs(
             raise AssertionError(f"construction failed after clean validation: {exc}") from exc
         raise AxiomViolationError(f"construction failed: {exc}") from exc
 
-    if evaluate(structure).choices != cf.choices:
+    if evaluate(structure) != cf:
         if validate:
             raise AssertionError("synthesized structure does not regenerate its choices")
         raise AxiomViolationError("synthesized structure does not regenerate its choices")

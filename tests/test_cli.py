@@ -364,6 +364,16 @@ def test_infinite_horizon_is_a_coded_error(capsys):
         _assert_one_coded_error(*run(capsys, *CULTURE_ARGS, *flags), "invalid-params")
 
 
+def test_infinite_culture_parameters_are_a_coded_error(capsys):
+    """An infinite value made q* = inf / (inf + inf): NaN in the output."""
+    for argv in (
+        ["simulate-culture", "--beta", "2", "--g-hat", "2", "--v-hat", "inf", "--lambda-r", "1.5",
+         "--g", "1.5", "--q0", "0.3", "--horizon", "1"],
+        ["sweep", "culture", "--g-range", "1:1.5:2", "--v-hat", "inf"],
+    ):
+        _assert_one_coded_error(*run(capsys, *argv), "invalid-params")
+
+
 def test_step_budget_rejects_before_dynamics(capsys, monkeypatch):
     monkeypatch.setattr(cli, "culture_dynamics", _must_not_run)
     for flags in (["--dt", "1e-300"], ["--dt", "1e-4"], ["--dt", "1e-300", "--horizon", "1e300"]):

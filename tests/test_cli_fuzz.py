@@ -10,8 +10,12 @@ behind the JSON and CSV syntax.
 The same holds for flag values that argparse accepts: huge and negative
 ints, and floats that are NaN, infinite or next to a bound of their
 parameter, in ``check-axioms --cap``, ``enumerate --limit``, the
-``simulate-culture`` parameters (with ``--horizon 1``) and the ``sweep``
-ranges.  Valid values stay small, so every example runs in milliseconds.
+``simulate-media`` and ``simulate-culture`` parameters (the latter with
+``--horizon 1``, ``--record-every`` and ``--consistency-grid``) and the
+``sweep`` ranges.  A run that exits 0 or 1 must print finite numbers: its
+JSON is parsed strictly (no ``NaN`` or ``Infinity``) and its CSV numbers
+must be finite.  Valid values stay small, so every example runs in
+milliseconds.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from hypothesis import strategies as st
 
 from rschoice.cli import main
 from rschoice.core import serialize_choice_function, serialize_structure_json
+from rschoice.culture import MAX_CONSISTENCY_GRID
 from rschoice.generators import (
     ground_of_size,
     random_choice_function,
@@ -115,6 +120,33 @@ def _assert_clean_exit(code: int, out: str, err: str):
         assert err == ""
 
 
+def _not_json(constant: str):
+    raise ValueError(f"stdout holds {constant}, which is not JSON")
+
+
+def _assert_finite_output(result, fmt: str = "json"):
+    """``_assert_clean_exit``; and stdout, unless the exit is 2, is strict
+    JSON (``json``: one document, ``jsonl``: one per line) or CSV
+    (``csv``) whose numeric cells are finite."""
+    code, out, err = result
+    _assert_clean_exit(code, out, err)
+    if code == 2:
+        return
+    if fmt == "json":
+        json.loads(out, parse_constant=_not_json)
+    elif fmt == "jsonl":
+        for line in out.splitlines():
+            json.loads(line, parse_constant=_not_json)
+    else:
+        for row in out.splitlines()[1:]:
+            for cell in row.split(","):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue  # a label
+                assert math.isfinite(value), row
+
+
 @FUZZ
 @given(data=st.binary(max_size=300), fmt=st.sampled_from(["json", "csv"]),
        command=st.sampled_from(CHOICE_COMMANDS + (["freedom"],)))
@@ -173,6 +205,9 @@ CULTURE_FLAGS = {
 }
 
 
+CULTURE_ARGS = [f"{flag}={default!r}" for flag, (default, _) in sorted(CULTURE_FLAGS.items())]
+
+
 @st.composite
 def culture_flags(draw):
     """``simulate-culture`` flags: valid defaults with one to three drawn."""
@@ -200,13 +235,13 @@ def ranges(draw, lo: float, hi: float):
 @given(cap=INTS)
 def test_check_axioms_cap_values_exit_cleanly(tmp_path_factory, cap):
     data = serialize_choice_function(random_choice_function(random.Random(1), ground_of_size(4)))
-    _assert_clean_exit(*_run(tmp_path_factory, ["check-axioms", f"--cap={cap}"], data.encode()))
+    _assert_finite_output(_run(tmp_path_factory, ["check-axioms", f"--cap={cap}"], data.encode()))
 
 
 @FUZZ
 @given(limit=INTS, options=st.sampled_from(["x", "x,y", "x,y,z"]))
 def test_enumerate_limit_values_exit_cleanly(limit, options):
-    _assert_clean_exit(*_run_flags(["enumerate", "--options", options, f"--limit={limit}"]))
+    _assert_finite_output(_run_flags(["enumerate", "--options", options, f"--limit={limit}"]), "jsonl")
 
 
 @settings(FUZZ, max_examples=300)
@@ -214,7 +249,7 @@ def test_enumerate_limit_values_exit_cleanly(limit, options):
                "--g", "3", "--q0", "0.3"])
 @given(argv=culture_flags())
 def test_simulate_culture_flag_values_exit_cleanly(argv):
-    _assert_clean_exit(*_run_flags(["simulate-culture", *argv, "--horizon", "1"]))
+    _assert_finite_output(_run_flags(["simulate-culture", *argv, "--horizon", "1"]))
 
 
 @FUZZ
@@ -223,7 +258,7 @@ def test_sweep_culture_range_values_exit_cleanly(g_range, lambda_r_range):
     argv = ["sweep", "culture", f"--g-range={g_range}"]
     if lambda_r_range is not None:
         argv.append(f"--lambda-r-range={lambda_r_range}")
-    _assert_clean_exit(*_run_flags(argv))
+    _assert_finite_output(_run_flags(argv), "csv")
 
 
 @FUZZ
@@ -236,4 +271,34 @@ def test_sweep_media_range_values_exit_cleanly(lambda_range, p_range, samples, m
         argv.append(f"--p-range={p_range}")
     if samples is not None:
         argv.append(f"--samples={samples}")
-    _assert_clean_exit(*_run_flags(argv))
+    _assert_finite_output(_run_flags(argv), "csv")
+
+
+@FUZZ
+@given(p=_floats(0.0, 0.5), lam=_floats(0.5, 0.75), menu=st.sampled_from(["M", "N"]),
+       no_reactance=st.booleans())
+def test_simulate_media_flag_values_exit_cleanly(p, lam, menu, no_reactance):
+    argv = ["simulate-media", f"--p={p!r}", f"--lambda={lam!r}", "--menu", menu]
+    _assert_finite_output(_run_flags(argv + ["--no-reactance"] * no_reactance))
+
+
+GRID_SIZES = st.one_of(
+    st.sampled_from([-(10**23), -1, 0, 1, 9, 10, 11, 1000, MAX_CONSISTENCY_GRID,
+                     MAX_CONSISTENCY_GRID + 1, sys.maxsize, 10**23]),
+    st.integers(-(10**23), 10**23),
+)
+
+
+@FUZZ
+@given(record_every=st.none() | INTS, grid=st.none() | GRID_SIZES, trajectory=st.booleans())
+def test_simulate_culture_record_and_grid_values_exit_cleanly(
+    tmp_path_factory, record_every, grid, trajectory
+):
+    argv = ["simulate-culture", *CULTURE_ARGS, "--horizon", "1"]
+    if record_every is not None:
+        argv.append(f"--record-every={record_every}")
+    if grid is not None:
+        argv.append(f"--consistency-grid={grid}")
+    if trajectory:
+        argv += ["--trajectory-out", str(tmp_path_factory.getbasetemp() / "trajectory.csv")]
+    _assert_finite_output(_run_flags(argv))

@@ -5,16 +5,28 @@ kept here as references.
 ``choice_from_order`` each run masked passes over an int8 choice table.
 On order-, structure-, noise-generated and uniformly random functions at
 n = 2-8, and on one 12-option case, each must return exactly what its
-reference loop returns.
+reference loop returns.  ``ChoiceFunction`` checks its picks in one numpy
+pass; with bad entries planted in random tables it must raise what the
+per-menu check raised, with the same message.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-from rschoice.core import ChoiceFunction, GroundSet, LinearOrder, choice_from_order, iter_bits
+from rschoice.core import (
+    ChoiceFunction,
+    ChoiceModelError,
+    ChoiceOutsideMenuError,
+    GroundSet,
+    LinearOrder,
+    MissingMenuError,
+    choice_from_order,
+    iter_bits,
+)
 from rschoice.generators import (
     ground_of_size,
     random_choice_function,
@@ -100,8 +112,8 @@ def _cases(size: int):
 
 
 def _assert_trusted_table(cf: ChoiceFunction) -> None:
-    """A kernel's function skips validation, so it must equal the validated
-    one and carry its kernel table as the read-only view."""
+    """A kernel's function equals the one built from its picks as a tuple,
+    and its stored table is the read-only int8 form of those picks."""
     assert all(type(c) is int for c in cf.choices)
     assert cf == ChoiceFunction(cf.ground, cf.choices)
     assert cf.table.dtype == "int8" and not cf.table.flags.writeable
@@ -140,3 +152,94 @@ def test_choice_from_order_matches_the_best_ranked_member(size):
         cf = choice_from_order(order)
         assert cf.choices == order_reference(order)
         _assert_trusted_table(cf)
+
+
+def validate_reference(ground: GroundSet, choices) -> None:
+    """The per-menu check ``ChoiceFunction`` ran before its numpy pass."""
+    choices = tuple(choices)
+    n_entries = 1 << ground.size
+    if len(choices) != n_entries:
+        raise MissingMenuError(f"choice table has {len(choices)} entries, expected {n_entries}")
+    if choices[0] != -1:
+        raise ChoiceOutsideMenuError(f"entry 0 (the empty menu) must be -1, got {choices[0]!r}")
+    for mask in range(1, n_entries):
+        try:
+            if (mask >> choices[mask]) & 1:
+                continue
+        except (TypeError, ValueError, OverflowError):
+            pass
+        pick, key, opts = choices[mask], ground.menu_key(mask), ground.options
+        if isinstance(pick, int) and 0 <= pick < len(opts):
+            raise ChoiceOutsideMenuError(f"chosen option {opts[pick]!r} is outside menu {key!r}")
+        raise ChoiceOutsideMenuError(
+            f"choice {pick!r} from menu {key!r} is not an option position 0..{len(opts) - 1}"
+        )
+
+
+def _bad_picks(rng: random.Random, n: int, mask: int) -> list:
+    """One pick of each bad kind for menu ``mask``."""
+    outside = [y for y in range(n) if not (mask >> y) & 1]
+    return [
+        *([rng.choice(outside)] if outside else []),
+        -1, -2, -129, -(2**63), n, n + rng.randrange(100), 127, 128, 2**63 - 1, 2**63, 10**100,
+        float(rng.choice(list(iter_bits(mask)))), 0.5, "x", str(n - 1), None, [0], (0, 1),
+    ]
+
+
+def _error(build):
+    try:
+        build()
+    except ChoiceModelError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("size", range(2, 9))
+def test_choice_function_raises_what_the_per_menu_check_raised(size):
+    rng = random.Random(size)
+    ground = ground_of_size(size)
+    for _ in range(4):
+        table = list(random_choice_function(rng, ground).choices)
+        for bad in [0, 1, -2, None, "x", 0.5, 10**100]:  # entry 0
+            planted = [bad, *table[1:]]
+            expected = _error(lambda: validate_reference(ground, planted))
+            assert expected is not None
+            assert _error(lambda: ChoiceFunction(ground, planted)) == expected
+        for _ in range(3):
+            # One bad entry, then a second of another kind at another menu:
+            # the error names whichever menu comes first.
+            masks = rng.sample(range(1, 1 << size), 2)
+            firsts, seconds = (_bad_picks(rng, size, mask) for mask in masks)
+            rng.shuffle(seconds)
+            for bad, other in zip(firsts, seconds):
+                planted = list(table)
+                planted[masks[0]] = bad
+                for choices in (planted, tuple(planted)):
+                    expected = _error(lambda: validate_reference(ground, choices))
+                    assert expected is not None and expected[0] is ChoiceOutsideMenuError
+                    assert _error(lambda: ChoiceFunction(ground, choices)) == expected
+                planted[masks[1]] = other
+                expected = _error(lambda: validate_reference(ground, planted))
+                assert _error(lambda: ChoiceFunction(ground, planted)) == expected
+    assert _error(lambda: ChoiceFunction(ground, table[1:])) == (
+        _error(lambda: validate_reference(ground, table[1:])))
+
+
+@pytest.mark.parametrize("size", range(2, 9))
+def test_choice_function_inputs_give_one_function(size):
+    rng = random.Random(size)
+    ground = ground_of_size(size)
+    other = GroundSet(tuple(f"p{i}" for i in range(size)))
+    for _ in range(4):
+        picks = list(random_choice_function(rng, ground).choices)
+        array = np.array(picks, dtype=np.int8)
+        cf = ChoiceFunction(ground, array)
+        for same in (picks, tuple(picks), np.array(picks), np.array(picks, dtype=np.int16)):
+            copy = ChoiceFunction(ground, same)
+            assert copy == cf and hash(copy) == hash(cf)
+            assert copy.choices == tuple(picks)
+        assert ChoiceFunction(other, picks) != cf
+        assert cf != picks
+        array[1:] = 0  # the caller's array stays its own
+        assert cf.table.tolist() == picks and cf.choices == tuple(picks)
+        assert array.flags.writeable and not cf.table.flags.writeable
