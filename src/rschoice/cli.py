@@ -14,6 +14,7 @@ stderr with a stable machine-readable ``error`` code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -303,7 +304,11 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: ``parse_args``
+    keeps no state between calls, so in-process callers of ``main`` pay only
+    for their own arguments."""
     parser = argparse.ArgumentParser(
         prog="rschoice",
         description="Analyze finite choice functions for restriction-sensitive behavior.",

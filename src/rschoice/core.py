@@ -10,12 +10,15 @@ identifiers sorted by ground-set position, joined by ``,``.  Each ground set
 builds the keys of all its 2^n masks once, on first use, into
 ``GroundSet.menu_keys``: the key of a mask extends the key of the mask without
 its top bit, so the table costs 2^n string joins.  Parsing, serializing and
-the freedom table read this one table.  A canonical file, whose key list
-equals ``menu_keys[1:]``, is parsed in bulk: one list comparison, one map of
-the chosen labels to positions, and the membership check in
-``ChoiceFunction``.  Any other file, or a canonical one whose bulk build
-fails, is checked entry by entry, so errors name the first bad entry; keys
-out of canonical order or form go to ``GroundSet.parse_menu_key``.
+the freedom table read this one table.  ``parse_choice_function`` keeps the
+last ``PARSED_GROUND_CACHE_SIZE`` ground sets it built, keyed by their
+options, so files with the same options share one ground set and one table.
+A canonical file, whose key list equals ``menu_keys[1:]``, is parsed in
+bulk: one list comparison, one map of the chosen labels to positions, and
+the membership check in ``ChoiceFunction``.  Any other file, or a canonical
+one whose bulk build fails, is checked entry by entry, so errors name the
+first bad entry; keys out of canonical order or form go to
+``GroundSet.parse_menu_key``.
 
 A ``ChoiceFunction`` stores its 2^n picks as one read-only ``np.int8``
 array, ``table``, checked in one numpy pass when it is built.  Whole-table
@@ -33,7 +36,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, product
 from typing import Iterator
 
@@ -46,6 +49,10 @@ MAX_GROUND_SIZE = 24
 
 #: Largest ground set for full choice-function enumeration (count is prod |A|).
 MAX_ENUMERATION_SIZE = 4
+
+#: Ground sets ``parse_choice_function`` keeps, with their key tables (one
+#: table is about 100 MB at n = 20).
+PARSED_GROUND_CACHE_SIZE = 2
 
 
 class ChoiceModelError(Exception):
@@ -399,6 +406,13 @@ def _reject_duplicate_keys(pairs):
     return doc
 
 
+@lru_cache(maxsize=PARSED_GROUND_CACHE_SIZE)
+def _parsed_ground(options: tuple[str, ...]) -> GroundSet:
+    """The ground set of ``options``, shared by parses with the same options
+    so that its ``menu_keys`` table is built once."""
+    return GroundSet(options)
+
+
 def _is_canonical(ground: GroundSet, menus: list) -> bool:
     """Whether ``menus`` lists every nonempty menu's key in serialized order.
 
@@ -455,7 +469,7 @@ def parse_choice_function(text: bytes | str, format: str = "json") -> ChoiceFunc
         options = _labels(doc["options"], "'options'")
         if not isinstance(doc["choices"], dict):
             raise MalformedKeyError("'choices' must be an object mapping menu keys to options")
-        ground = GroundSet(options)
+        ground = _parsed_ground(options)
         menus, picks = list(doc["choices"]), list(doc["choices"].values())
     elif format == "csv":
         reader = csv.reader(io.StringIO(text))
@@ -469,7 +483,7 @@ def parse_choice_function(text: bytes | str, format: str = "json") -> ChoiceFunc
         menus, picks = [row[0] for row in entries], [row[1] for row in entries]
         # Options in order of first appearance across the keys.
         names = chain.from_iterable(key.split(MENU_KEY_SEPARATOR) for key in menus)
-        ground = GroundSet(tuple(dict.fromkeys(names)))
+        ground = _parsed_ground(tuple(dict.fromkeys(names)))
     else:
         raise MalformedKeyError(f"unknown format {format!r}")
     return _function_from_entries(ground, menus, picks)

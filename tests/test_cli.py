@@ -13,7 +13,7 @@ from rschoice.core import (
     serialize_structure_json,
 )
 from rschoice.fixtures import detergent_choice, worked_structure
-from rschoice.axioms import tsm_choice, tsm_fixture_nrs_violation
+from rschoice.axioms import DEFAULT_VIOLATION_CAP, tsm_choice, tsm_fixture_nrs_violation
 from rschoice.culture import MAX_CONSISTENCY_GRID, culture_dynamics
 
 
@@ -335,6 +335,55 @@ def test_non_integer_seed_env_var_fails_only_the_sweep(capsys, monkeypatch, dete
     lines = err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "invalid-seed"
     assert run(capsys, "--seed", "0", "sweep", "media", "--samples", "5") == default
+
+
+def _run_or_exit(capsys, argv):
+    """``run``, with an argparse usage error's ``SystemExit`` as its exit code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys, monkeypatch, tsm1_file):
+    """One parser serves every in-process call; each call's result equals the
+    result of a parser built for that call alone."""
+    assert cli.build_parser() is cli.build_parser()
+    steps = [
+        (None, ["check-axioms", "--cap", "1", tsm1_file]),
+        (None, ["check-axioms", tsm1_file]),
+        (None, ["check-axioms", tsm1_file, "--cap"]),
+        (None, ["check-axioms", tsm1_file, "--cap", "-1"]),
+        (None, ["sweep", "media", "--samples", "3"]),
+        ("7", ["sweep", "media", "--samples", "3"]),
+        ("7", ["enumerate", "--options", "x,y,z", "--count-only"]),
+    ]
+
+    def sequence():
+        results = []
+        for seed, argv in steps:
+            if seed is None:
+                monkeypatch.delenv("RSCHOICE_SEED", raising=False)
+            else:
+                monkeypatch.setenv("RSCHOICE_SEED", seed)
+            results.append(_run_or_exit(capsys, argv))
+        return results
+
+    reused = sequence()
+    assert cli.build_parser.cache_info().currsize == 1
+    assert cli.build_parser().parse_args(["check-axioms", tsm1_file]).cap == DEFAULT_VIOLATION_CAP == 16
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert reused == sequence()
+
+    capped, default, usage, coded, unseeded, seeded, count = reused
+    iia = [v for v in json.loads(capped[1]) + json.loads(default[1]) if v["axiom"] == "IIA"]
+    assert [(len(v["violations"]), v["truncated"]) for v in iia] == [(1, True), (10, False)]
+    assert usage[:2] == (2, "") and "usage: rschoice check-axioms" in usage[2]
+    _assert_one_coded_error(*coded, "invalid-range")
+    assert unseeded[0] == seeded[0] == 0 and unseeded[1] != seeded[1]
+    assert count == (0, '{"count": 24}\n', "")
 
 
 def test_repeated_runs_are_byte_identical(capsys, detergent_file):

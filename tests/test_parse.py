@@ -4,7 +4,8 @@
 ``GroundSet.parse_menu_key`` and fills the table from a mask dict, as the
 library did before ``GroundSet.menu_keys``.  On every input both must
 return the same table over the same ground set, or raise the same error
-class with the same message.
+class with the same message.  Parses with the same options share one cached
+``GroundSet``; the last tests pin that reuse and the cache's bound.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 
 from rschoice.core import (
     MENU_KEY_SEPARATOR,
+    PARSED_GROUND_CACHE_SIZE,
     ChoiceFunction,
     ChoiceModelError,
     DuplicateMenuError,
@@ -27,7 +29,9 @@ from rschoice.core import (
     MalformedKeyError,
     MissingMenuError,
     UnknownOptionError,
+    _parsed_ground,
     parse_choice_function,
+    serialize_choice_function,
 )
 from rschoice.generators import ground_of_size, random_choice_function
 
@@ -316,3 +320,51 @@ def test_csv_options_in_first_appearance_order_match_reference(text):
     """CSV files with 2^n - 1 rows, canonical or not, take their options in
     order of first appearance across the keys, as the reference does."""
     _assert_same(text, "csv")
+
+
+def _parse_random(rng: random.Random, size: int, fmt: str = "json") -> ChoiceFunction:
+    cf = random_choice_function(rng, ground_of_size(size))
+    parsed = parse_choice_function(serialize_choice_function(cf, fmt), fmt)
+    assert parsed == cf
+    return parsed
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_parses_with_the_same_options_share_one_ground_set(fmt):
+    rng = random.Random(23)
+    cf = random_choice_function(rng, ground_of_size(5))
+    text = serialize_choice_function(cf, fmt)
+    first, second = parse_choice_function(text, fmt), parse_choice_function(text, fmt)
+    assert first == second == cf
+    assert first.ground is second.ground
+    other = _parse_random(rng, 3, fmt)
+    assert other.ground is not first.ground
+    assert other.ground.options == ("o0", "o1", "o2")
+    assert parse_choice_function(text, fmt).ground is first.ground
+
+
+@pytest.mark.parametrize("fmt, text", [
+    ("json", '{"options": ["x", "y", "x"], "choices": {}}'),
+    ("json", '{"options": ["x", ""], "choices": {}}'),
+    ("json", '{"options": ["x", "a,b"], "choices": {}}'),
+    ("json", '{"options": ["x"], "choices": {"x": "x"}}'),
+    ("csv", 'menu,choice\nx,x\n",x",x\n'),
+    ("csv", 'menu,choice\nx,x\n'),
+])
+def test_invalid_options_raise_the_same_error_on_every_parse(fmt, text):
+    cached = _parsed_ground.cache_info().currsize
+    first = _assert_same(text, fmt)
+    assert first[0] is InvalidGroundSetError
+    for _ in range(3):
+        assert _assert_same(text, fmt) == first
+    assert _parsed_ground.cache_info().currsize == cached
+
+
+def test_parsed_ground_cache_holds_at_most_its_stated_size():
+    assert _parsed_ground.cache_info().maxsize == PARSED_GROUND_CACHE_SIZE == 2
+    rng = random.Random(29)
+    sizes = range(2, PARSED_GROUND_CACHE_SIZE + 4)
+    grounds = [_parse_random(rng, size).ground for size in sizes]
+    assert _parsed_ground.cache_info().currsize == PARSED_GROUND_CACHE_SIZE
+    assert _parse_random(rng, sizes[0]).ground is not grounds[0]
+    assert _parse_random(rng, sizes[-1]).ground is grounds[-1]
