@@ -15,6 +15,15 @@ deterministic smallest-index-first order, capped at ``DEFAULT_VIOLATION_CAP``.
 A transitive-shortlist evaluator (two-rationale sequential maximization)
 generates the counterexample fixtures showing shortlist choice escapes
 NRS and SPR.
+
+Expansion runs on the int8 choice table as whole-array numpy work: one
+stable argsort groups the menus by chosen option, batched subset-OR
+transforms skip every family closed under union (O(n 2^n) per family,
+O(2^n) memory), and an open family is pair-scanned in bounded blocks that
+stop at the cap.  Only families of at most 16 menus, and every family
+below six options, are scanned pair by pair in Python.  The other axioms
+read pair and triple menus, O(n^4) at most; IIA walks every submenu of
+every menu, O(3^n).
 """
 
 from __future__ import annotations
@@ -88,69 +97,149 @@ def _verdict(axiom: str, witnesses: Iterator[tuple], cap: int) -> AxiomVerdict:
 def check_exp(cf: ChoiceFunction, cap: int = DEFAULT_VIOLATION_CAP) -> AxiomVerdict:
     """Expansion: x = c(A) = c(B) implies x = c(A | B).
 
-    Gate, then scan, one chosen option x at a time.  The menus choosing x
-    form a family F_x, and Expansion fails inside F_x exactly when F_x is
-    not closed under union.  A family with more menu pairs than the n * 2^n
-    steps of a subset-OR transform (``_union_closed``, O(2^n) memory) is
-    first tested for closure, and a closed family is skipped.  Every other
-    family is scanned pair by pair, O(|F_x|^2), which lists the witnesses
-    in the same order as an ungated scan; pairs whose union equals one of
-    them hold trivially.  On a clean input the cost is O(n^2 * 2^n) where
-    the ungated scan took O(4^n).
+    Gate, then scan, one chosen option x at a time in ascending order.  The
+    menus choosing x form a family F_x (one stable argsort of the table
+    groups them), and Expansion fails inside F_x exactly when F_x is not
+    closed under union.  A family of at most ``EXP_SMALL_FAMILY`` menus is
+    scanned pair by pair in Python.  A larger one is first tested for
+    closure by a subset-OR transform over the 2^(n-1) menus holding x
+    (``_union_closed_families``); a closed family is skipped, and an open
+    one is scanned with numpy, one block of pairs at a time.  Transforms
+    run in batches of 1, 2, 4, ... families of at most ``EXP_GATE_BYTES``
+    of int32 rows (one family per batch from n = 22 on), so a clean input
+    pays about log2(n) batches and an input whose first large family is
+    open pays for one row.
+
+    Cost: on a clean input O(n^2 2^n) time and O(2^n) memory; an open
+    family of k menus adds up to k^2 / 2 pair tests in blocks, cut short
+    once the cap is reached.  Both scans list the witnesses in the order of
+    an ungated scan: ascending x, then A, then B.
     """
     return _verdict("Exp", _exp_witnesses(cf), cap)
 
 
+#: Largest family that ``check_exp`` scans pair by pair in Python (at most
+#: 120 pairs); below it numpy's per-call cost is more than the loop's.
+EXP_SMALL_FAMILY = 16
+#: Byte budget of one batch of ``check_exp`` gate transforms: one int32 row
+#: of 2^(n-1) entries per family, and at least one row (32 MiB at n = 24).
+EXP_GATE_BYTES = 1 << 23
+#: Pairs in the first and in the largest block of the numpy scan of an open
+#: family; blocks double in between, so an early witness comes cheap.
+EXP_SCAN_FIRST, EXP_SCAN_BLOCK = 1 << 10, 1 << 16
+
+
 def _exp_witnesses(cf: ChoiceFunction) -> Iterator[tuple]:
-    ground = cf.ground
-    choices = cf.choices
-    by_chosen: list[list[int]] = [[] for _ in range(ground.size)]
-    for mask in range(1, ground.full_mask + 1):
-        by_chosen[choices[mask]].append(mask)
-    transform_steps = ground.size << ground.size
-    for x, menus in enumerate(by_chosen):
-        if len(menus) * (len(menus) - 1) // 2 > transform_steps:
-            if _union_closed(cf.table, x):
+    ground, table = cf.ground, cf.table
+    n = ground.size
+    if table.size <= 2 * EXP_SMALL_FAMILY:
+        # Below six options every family is small, and the picks as a tuple
+        # cost less to build and to read than the argsort and ``item``.
+        choices = cf.choices
+        families: list = [[] for _ in range(n)]
+        for mask in range(1, table.size):
+            families[choices[mask]].append(mask)
+        pick = choices.__getitem__
+    else:
+        families, pick = _exp_families(table, n), table.item
+    closed: dict[int, bool] = {}
+    batch = 1
+    for x, menus in enumerate(families):
+        if len(menus) <= EXP_SMALL_FAMILY:
+            yield from _exp_scan_python(ground, pick, x, menus)
+            continue
+        if x not in closed:
+            # The next batch: this family and the large ones after it.
+            xs = [y for y in range(x, n) if len(families[y]) > EXP_SMALL_FAMILY][:batch]
+            closed.update(zip(xs, _union_closed_families(table, xs, [families[y] for y in xs])))
+            batch = min(2 * batch, max(1, EXP_GATE_BYTES >> (n + 1)))
+        if not closed[x]:
+            yield from _exp_scan_numpy(ground, table, x, menus)
+
+
+def _exp_families(table: np.ndarray, n: int) -> list:
+    """The menus choosing each option, ascending, grouped by one stable
+    argsort: a list of ints for a family of at most ``EXP_SMALL_FAMILY``
+    menus, an int32 array for a larger one."""
+    order = np.argsort(table, kind="stable").astype(np.int32)  # the empty menu first
+    families, start = [], 1
+    for end in (np.cumsum(np.bincount(table[1:], minlength=n)) + 1).tolist():
+        menus = order[start:end]
+        families.append(menus.tolist() if menus.size <= EXP_SMALL_FAMILY else menus)
+        start = end
+    return families
+
+
+def _exp_scan_python(ground: GroundSet, pick, x: int, menus: list[int]) -> Iterator[tuple]:
+    """Witnesses (A, B, x, c(A | B)) of the pairs A before B of ``menus``
+    (ascending, all choosing ``x``) with c(A | B) != x, where ``pick(M)``
+    is c(M); pair by pair, for small families."""
+    k = len(menus)
+    for ai in range(k):
+        a = menus[ai]
+        for bi in range(ai + 1, k):
+            b = menus[bi]
+            union = a | b
+            if union == a or union == b:
                 continue
-        for ai in range(len(menus)):
-            a = menus[ai]
-            for bi in range(ai + 1, len(menus)):
-                b = menus[bi]
-                union = a | b
-                if union == a or union == b:
-                    continue
-                got = choices[union]
-                if got != x:
-                    yield (
-                        ground.menu_key(a),
-                        ground.menu_key(b),
-                        ground.options[x],
-                        ground.options[got],
-                    )
+            got = pick(union)
+            if got != x:
+                yield (ground.menu_key(a), ground.menu_key(b), ground.options[x], ground.options[got])
+
+
+def _exp_scan_numpy(ground: GroundSet, table: np.ndarray, x: int,
+                    menus: np.ndarray) -> Iterator[tuple]:
+    """``_exp_scan_python`` over an int32 array, in the same order: a block
+    of rows A at a time against every later B, ``np.nonzero`` reading the
+    block row by row.  A union equal to A or B is chosen like them, so it
+    needs no test of its own."""
+    k, i, block = menus.size, 0, EXP_SCAN_FIRST
+    while i < k - 1:
+        rest = menus[i + 1:]
+        rows = min(max(1, block // rest.size), rest.size)
+        got = table[menus[i:i + rows, None] | rest]
+        r, c = np.nonzero(got != x)
+        # Row r is A = menus[i + r]; column c is B = menus[i + 1 + c], after A iff c >= r.
+        later = c >= r
+        r, c = r[later], c[later]
+        for a, b, pick in zip(menus[i + r].tolist(), rest[c].tolist(), got[r, c].tolist()):
+            yield (ground.menu_key(a), ground.menu_key(b), ground.options[x], ground.options[pick])
+        i += rows
+        block = min(2 * block, EXP_SCAN_BLOCK)
+
+
+def _union_closed_families(table: np.ndarray, xs: list[int], families: list) -> list[bool]:
+    """For each option xs[j], whether ``families[j]``, the menus choosing it,
+    is closed under union.
+
+    ``table[mask]`` is the chosen position.  Every menu of family j holds
+    x = xs[j], so it is indexed by its other n - 1 bits.  One subset-OR
+    (zeta) transform of a (2^(n-1), len(xs)) array gives span[M, j], the
+    union of the menus of family j inside M | {x}; it holds {x} at least.
+    The family is closed iff c(span[M, j]) = x everywhere: a failing pair
+    A, B shows at M = A | B, and a closed family contains every such union.
+    """
+    span = np.zeros((table.size >> 1, len(xs)), dtype=np.int32)
+    for j, (x, menus) in enumerate(zip(xs, families)):
+        low = (1 << x) - 1
+        span[(menus >> 1) & ~low | menus & low, j] = menus
+    _subset_zeta(span, np.bitwise_or)
+    return [bool((table.take(span[:, j]) == x).all()) for j, x in enumerate(xs)]
 
 
 def _union_closed(table: np.ndarray, x: int) -> bool:
-    """Whether the menus choosing ``x`` are closed under union.
-
-    ``table[mask]`` is the chosen position.  A subset-OR (zeta) transform,
-    one pass per bit, gives span[M], the union of the menus inside M that
-    choose x.  The family is closed iff c(span[M]) = x wherever span[M] is
-    nonempty: a failing pair A, B shows at M = A | B, and a closed family
-    contains every such union.
-    """
-    span = np.where(table == x, np.arange(table.size, dtype=np.int32), 0)
-    _subset_zeta(span, np.bitwise_or)
-    span = span[span != 0]
-    return bool((table[span] == x).all())
+    """Whether the menus choosing ``x`` are closed under union."""
+    menus = np.flatnonzero(table == x).astype(np.int32)
+    return _union_closed_families(table, [x], [menus])[0]
 
 
 def _subset_zeta(values: np.ndarray, op: np.ufunc) -> None:
-    """Yates' subset (zeta) transform in place over a 2^k array: values[s]
-    becomes ``op`` folded over values[t] for every t inside s.  One pass
-    per bit, k 2^(k-1) applications of ``op``."""
+    """Yates' subset (zeta) transform in place along axis 0, of length 2^k:
+    values[s] becomes ``op`` folded over values[t] for every t inside s.
+    One pass per bit, k 2^(k-1) applications of ``op`` per column."""
     bit = 1
-    while bit < values.size:
-        half = values.reshape(-1, 2, bit)
+    while bit < len(values):
+        half = values.reshape(-1, 2, bit, *values.shape[1:])
         op(half[:, 1], half[:, 0], out=half[:, 1])
         bit <<= 1
 

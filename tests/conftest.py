@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from rschoice.core import ChoiceFunction, GroundSet, LinearOrder
-from rschoice.structure import RSStructure
+from rschoice.core import ChoiceFunction, GroundSet, LinearOrder, choice_from_order
+from rschoice.generators import random_choice_function, random_order, random_single_peaked_structure
+from rschoice.structure import RSStructure, evaluate
 
 
 def cf_from(options: tuple[str, ...], choices: dict[str, str]) -> ChoiceFunction:
@@ -17,6 +18,21 @@ def cf_from(options: tuple[str, ...], choices: dict[str, str]) -> ChoiceFunction
     for key, chosen in choices.items():
         table[ground.parse_menu_key(key)] = ground.index[chosen]
     return ChoiceFunction(ground, tuple(table))
+
+
+def mixed_choice_function(rng: random.Random, ground: GroundSet, kind: int) -> ChoiceFunction:
+    """Kind 0: the choice of a random order; 1: of a random single-peaked
+    structure, both with up to three picks redrawn; 2: a uniformly random
+    function."""
+    if kind == 2:
+        return random_choice_function(rng, ground)
+    base = choice_from_order(random_order(rng, ground)) if kind == 0 else evaluate(
+        random_single_peaked_structure(rng, ground))
+    table = base.table.tolist()
+    for _ in range(rng.randrange(4)):
+        mask = rng.randrange(1, 1 << ground.size)
+        table[mask] = rng.choice([i for i in range(ground.size) if mask >> i & 1])
+    return ChoiceFunction(ground, table)
 
 
 def reextended(structure: RSStructure, rng: random.Random) -> RSStructure:

@@ -29,9 +29,9 @@ from rschoice.generators import (
     random_single_peaked_structure,
 )
 from rschoice.normative import MenuPreference, check_menu_axioms, freedom_model
-from rschoice.revealed import reveal
+from rschoice.revealed import reveal, single_deletion_switches
 
-from conftest import cf_from
+from conftest import cf_from, mixed_choice_function
 
 
 def order_cf(*names):
@@ -131,6 +131,22 @@ def test_nonempty_reaction_implies_iia_violation(rng):
             assert not check_iia(cf, cap=1).holds
             found += 1
     assert found > 0
+
+
+@pytest.mark.parametrize("size", range(2, 8))
+def test_iia_fails_exactly_when_a_single_deletion_switches_the_choice(rng, size):
+    """Second oracle for IIA: if c(A) = x is in B but c(B) != x, deleting
+    the options of A \\ B one at a time switches the choice at some step,
+    and the deleted option is not x."""
+    ground = ground_of_size(size)
+    seen = set()
+    for k in range(48):
+        cf = mixed_choice_function(rng, ground, k % 3)
+        before, after = single_deletion_switches(cf)
+        holds = check_iia(cf, cap=0).holds
+        assert holds == (not any(before) and not any(after)), cf.table.tolist()
+        seen.add(holds)
+    assert seen == ({True} if size == 2 else {True, False})  # two options never break IIA
 
 
 def test_iia_implies_all_axioms():

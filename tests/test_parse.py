@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from rschoice import core
 from rschoice.core import (
     MENU_KEY_SEPARATOR,
     PARSED_GROUND_CACHE_SIZE,
@@ -26,11 +27,14 @@ from rschoice.core import (
     ChoiceOutsideMenuError,
     GroundSet,
     InvalidGroundSetError,
+    LinearOrder,
     MalformedKeyError,
     MissingMenuError,
     UnknownOptionError,
     _parsed_ground,
+    choice_from_order,
     parse_choice_function,
+    parse_structure_json,
     serialize_choice_function,
 )
 from rschoice.generators import ground_of_size, random_choice_function
@@ -368,3 +372,44 @@ def test_parsed_ground_cache_holds_at_most_its_stated_size():
     assert _parsed_ground.cache_info().currsize == PARSED_GROUND_CACHE_SIZE
     assert _parse_random(rng, sizes[0]).ground is not grounds[0]
     assert _parse_random(rng, sizes[-1]).ground is grounds[-1]
+
+
+_STRUCTURE_TEXTS = [
+    '{"types": [["a", "b"], ["c"]], "welfare": ["a", "b", "c"], "reaction": ["c", "b", "a"]}',
+    '{"types": [["a", "b"], ["c"]], "welfare": ["a", "b", "a"], "reaction": ["c", "b", "a"]}',
+    '{"types": [["a"], [""]], "welfare": ["a", ""], "reaction": ["a", ""]}',
+    '{"types": [["a"], ["b,c"]], "welfare": ["a", "b,c"], "reaction": ["a", "b,c"]}',
+    '{"types": [["a"]], "welfare": ["a"], "reaction": ["a"]}',
+    '{"types": [["a", "b"]], "welfare": ["a", "b"], "reaction": ["a", "b", "c"]}',
+    '{"types": [["a", "z"]], "welfare": ["a", "b"], "reaction": ["a", "b"]}',
+    '{"types": "ab", "welfare": ["a", "b"], "reaction": ["a", "b"]}',
+    '{"types": [["a", "b"]], "welfare": "ab", "reaction": ["a", "b"]}',
+    '{"types": [["a", "b"]], "welfare": ["a", "b"]}',
+    '["a", "b"]',
+    '{"types": [',
+    json.dumps({"types": [[f"o{i}" for i in range(25)]], "welfare": [f"o{i}" for i in range(25)],
+                "reaction": [f"o{i}" for i in range(25)]}),
+]
+
+
+def _structure_outcome(text: str):
+    try:
+        s = parse_structure_json(text)
+    except ChoiceModelError as exc:
+        return type(exc), str(exc)
+    return s.ground.options, s.types.blocks, s.welfare.ranking, s.reaction_pref.ranking
+
+
+@pytest.mark.parametrize("text", _STRUCTURE_TEXTS)
+def test_structure_parse_shares_the_ground_and_keeps_its_errors(text, monkeypatch):
+    """The structure parser takes its ground set from the parsed-ground
+    cache; outcomes, errors included, equal those of a fresh ``GroundSet``."""
+    got = [_structure_outcome(text) for _ in range(3)]
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "_parsed_ground", GroundSet)
+        assert got == [_structure_outcome(text)] * 3
+    if not isinstance(got[0][0], type):
+        first, second = parse_structure_json(text), parse_structure_json(text)
+        assert first.ground is second.ground
+        cf = choice_from_order(LinearOrder(first.ground, first.welfare.ranking))
+        assert parse_choice_function(serialize_choice_function(cf)).ground is first.ground
