@@ -138,7 +138,7 @@ def cmd_reveal(args: argparse.Namespace) -> int:
     cf = _load_choice(args)
     report = reveal(cf)
     if args.cross_check:
-        doc = json.loads(report.to_json())
+        doc = report.to_dict()
         doc["definition_cross_check"] = {
             k: [list(p) for p in v] for k, v in reaction_crosscheck(cf).items()
         }

@@ -10,10 +10,10 @@ identifiers sorted by ground-set position, joined by ``,``.  Each ground set
 builds the keys of all its 2^n masks once, on first use, into
 ``GroundSet.menu_keys``: the key of a mask extends the key of the mask without
 its top bit, so the table costs 2^n string joins.  Parsing, serializing and
-the freedom table read this one table.  ``parse_choice_function`` and
-``parse_structure_json`` keep the last ``PARSED_GROUND_CACHE_SIZE`` ground
-sets they built, keyed by their options, so files with the same options
-share one ground set and one table.
+the freedom table read this one table.  ``parse_choice_function`` keeps the
+last ``PARSED_GROUND_CACHE_SIZE`` ground sets it built, keyed by their
+options, so files with the same options share one ground set and one table
+(structure files, listing options in welfare order, build their own).
 A canonical file, whose key list equals ``menu_keys[1:]``, is parsed in
 bulk: one list comparison, one map of the chosen labels to positions, and
 the membership check in ``ChoiceFunction``.  Any other file, or a canonical
@@ -537,7 +537,7 @@ def parse_structure_json(text: bytes | str):
     types = doc["types"]
     if not isinstance(types, list):
         raise InvalidGroundSetError("'types' must be a list of option-label lists")
-    ground = _parsed_ground(welfare)
+    ground = GroundSet(welfare)
     return RSStructure(
         ground=ground,
         types=TypePartition(ground, tuple(_labels(b, "each type") for b in types)),

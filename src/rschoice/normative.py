@@ -88,13 +88,17 @@ def welfare_improving(
     within-type welfare comparisons and the reaction order, so it does not
     depend on how the synthesis extends the within-type welfare chains.
     """
+    return improving_from_structure(*_minimal_or_reject(cf), transitive_closure)
+
+
+def _minimal_or_reject(cf: ChoiceFunction) -> tuple[RSStructure, SinglePeakedCertificate]:
+    """``minimal_structure(cf)``, its failure raised as ``NotSinglePeakedRSCError``."""
     try:
-        structure, certificate = minimal_structure(cf)
+        return minimal_structure(cf)
     except AxiomViolationError as exc:
         raise NotSinglePeakedRSCError(
             f"not a single-peaked restriction-sensitive choice: {exc}"
         ) from exc
-    return improving_from_structure(structure, certificate, transitive_closure)
 
 
 def improving_from_structure(
@@ -235,13 +239,7 @@ def freedom_model(structure: RSStructure,
 
 
 def freedom_model_from_choice(cf: ChoiceFunction) -> FreedomModel:
-    try:
-        structure, certificate = minimal_structure(cf)
-    except AxiomViolationError as exc:
-        raise NotSinglePeakedRSCError(
-            f"not a single-peaked restriction-sensitive choice: {exc}"
-        ) from exc
-    return freedom_model(structure, certificate)
+    return freedom_model(*_minimal_or_reject(cf))
 
 
 def _as_mask(ground: GroundSet, menu) -> int:

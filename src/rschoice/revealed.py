@@ -85,14 +85,16 @@ class RevealedReport:
     similarity_classes: TypePartition
     witness: dict[tuple[str, str], str]
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "strict_preference": [[a, b] for a, b in self.strict_pref.pairs()],
             "reaction": [[a, b] for a, b in self.reaction.pairs()],
             "similarity_classes": [list(b) for b in self.similarity_classes.blocks],
             "witnesses": {f"{a} reacts to {b}": z for (a, b), z in sorted(self.witness.items())},
         }
-        return json.dumps(doc, indent=2) + "\n"
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
 def reveal_binary(cf: ChoiceFunction) -> BinaryRelation:

@@ -239,42 +239,35 @@ def synthesize_rs(
     6. the welfare order is a deterministic linear extension (topological,
        ties to the earlier ground-set position) of the within-type rankings.
 
-    With ``validate=True`` the Expansion/NRS/IR verdicts are computed first
-    and an ``AxiomViolationError`` carries them on failure; construction
-    trouble after a clean validation is a bug and raises ``AssertionError``.
-    With ``validate=False`` any construction impossibility or a failed
-    regeneration check raises ``AxiomViolationError`` without verdicts.
+    Construction plus ``evaluate(structure) == cf`` is the only validation:
+    a structure that regenerates ``cf`` proves Exp, NRS and IR, so no axiom
+    checker runs on success.  A failure raises ``AxiomViolationError``; with
+    ``validate=True`` it carries the Exp/NRS/IR verdicts, computed only then
+    (all three holding is a bug and raises ``AssertionError``).
     """
-    ground = cf.ground
     if report is None:
         report = reveal(cf)
-    classes = report.similarity_classes
-
-    if validate:
-        verdicts = [
-            check_exp(cf),
-            check_nrs(cf, classes),
-            check_ir(cf, classes),
-        ]
-        failing = [v for v in verdicts if not v.holds]
-        if failing:
-            raise AxiomViolationError(
-                "choice function fails " + ", ".join(v.axiom for v in failing),
-                verdicts=verdicts,
-            )
-
     try:
         structure, trace = _construct(cf, report)
+        if evaluate(structure) == cf:
+            return structure, trace
+        failure = "synthesized structure does not regenerate its choices"
     except _ConstructionFailure as exc:
-        if validate:
-            raise AssertionError(f"construction failed after clean validation: {exc}") from exc
-        raise AxiomViolationError(f"construction failed: {exc}") from exc
+        failure = f"construction failed: {exc}"
+    if validate:
+        _explain_failure(cf, report)
+        raise AssertionError(f"{failure}, yet Exp, NRS and IR hold")
+    raise AxiomViolationError(failure)
 
-    if evaluate(structure) != cf:
-        if validate:
-            raise AssertionError("synthesized structure does not regenerate its choices")
-        raise AxiomViolationError("synthesized structure does not regenerate its choices")
-    return structure, trace
+
+def _explain_failure(cf: ChoiceFunction, report: RevealedReport) -> None:
+    """Raise the error naming the failing ones of Exp, NRS and IR, with all
+    three verdicts; return when all three hold."""
+    classes = report.similarity_classes
+    verdicts = [check_exp(cf), check_nrs(cf, classes), check_ir(cf, classes)]
+    failing = [v.axiom for v in verdicts if not v.holds]
+    if failing:
+        raise AxiomViolationError("choice function fails " + ", ".join(failing), verdicts=verdicts)
 
 
 def _construct(cf: ChoiceFunction, report: RevealedReport) -> tuple[RSStructure, SynthesisTrace]:
@@ -499,27 +492,29 @@ def minimal_structure(
 ) -> tuple[RSStructure, SinglePeakedCertificate]:
     """Synthesize and certify, pinning the canonical threshold identities.
 
-    The emitted certificate's threshold per type must equal the
-    revealed-worst option with no outgoing reaction, and its peak the
-    revealed-best option of the weakly-below-threshold interval with no
-    incoming reaction.  The synthesis trace records exactly these
-    (``thresholds``, ``peak_candidates``, read off the reaction relation),
-    so both identities are asserted against it (a mismatch is a bug, not
-    an input error).
+    The certificate's threshold per type must be the revealed-worst option
+    with no outgoing reaction, and its peak the revealed-best option weakly
+    below it with no incoming reaction.  The synthesis trace reads both off
+    the reaction relation, so a mismatch is asserted as a bug.
+
+    Synthesis and certification are the only validation.  A failure raises
+    ``AxiomViolationError``; with ``validate=True`` it carries the verdicts
+    of SPR if that fails, else of Exp/NRS/IR, computed only then.
     """
     report = reveal(cf)
-    if validate:
-        verdict = check_spr(cf, report)
-        if not verdict.holds:
-            raise AxiomViolationError(
-                "choice function fails SPR", verdicts=[verdict]
-            )
-    structure, trace = synthesize_rs(cf, validate=validate, report=report)
-    certificate = certify_single_peaked(structure)
-    if not certificate.verified:
+    try:
+        structure, trace = synthesize_rs(cf, validate=False, report=report)
+        certificate = certify_single_peaked(structure)
+        if not certificate.verified:
+            raise AxiomViolationError("structure is not single-peaked")
+    except AxiomViolationError as exc:
         if validate:
-            raise AssertionError("certification failed on an SPR-clean function")
-        raise AxiomViolationError("structure is not single-peaked")
+            verdict = check_spr(cf, report)
+            if not verdict.holds:
+                raise AxiomViolationError("choice function fails SPR", verdicts=[verdict])
+            _explain_failure(cf, report)
+            raise AssertionError(f"{exc}, yet SPR, Exp, NRS and IR hold") from exc
+        raise
     assert certificate.thresholds == trace.thresholds, "threshold identity failed"
     assert certificate.peaks == trace.peak_candidates, "peak identity failed"
     return structure, certificate

@@ -2,6 +2,9 @@
 
 Each case runs ``rschoice.cli.main`` in-process and compares stdout and the
 exit code with ``tests/golden/<case>.out`` and ``tests/golden/exit_codes.json``.
+A case that exits 2 also compares its stderr, the coded ``{"error": ...}``
+line, with ``tests/golden/<case>.err``: for ``welfare`` it pins which axiom
+the message names first (SPR before Exp, NRS and IR).
 The choice-function commands run on every choice file in ``fixtures/`` and on
 ``tests/golden/random7.json``, a uniformly random 7-option function (one
 member drawn per menu with ``random.Random(7)``) whose Exp and IIA lists are
@@ -90,13 +93,13 @@ def _cases() -> dict[str, list[str]]:
 CASES = _cases()
 
 
-def _run(argv: list[str]) -> tuple[int, str]:
-    """Exit code and stdout; arguments naming repo files become absolute."""
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr; arguments naming repo files become absolute."""
     argv = [str(ROOT / a) if (ROOT / a).is_file() else a for a in argv]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_every_choice_fixture_is_covered():
@@ -108,24 +111,42 @@ def test_every_choice_fixture_is_covered():
 
 
 def test_random7_cuts_exp_and_iia_at_the_default_cap():
-    _, out = _run(["check-axioms", "tests/golden/random7.json"])
+    _, out, _ = _run(["check-axioms", "tests/golden/random7.json"])
     truncated = {v["axiom"] for v in json.loads(out) if v["truncated"]}
     assert {"Exp", "IIA"} <= truncated
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stdout_matches_golden(case):
-    code, out = _run(CASES[case])
+    code, out, _ = _run(CASES[case])
     expected = (GOLDEN / f"{case}.out").read_bytes().decode("utf-8")
     exit_codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
     assert (code, out) == (exit_codes[case], expected)
 
 
+EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+EXIT_2_CASES = sorted(case for case, code in EXIT_CODES.items() if code == 2)
+
+
+def test_exit_2_cases_have_stderr_goldens():
+    assert EXIT_2_CASES
+    assert {p.stem for p in GOLDEN.glob("*.err")} == set(EXIT_2_CASES)
+
+
+@pytest.mark.parametrize("case", EXIT_2_CASES)
+def test_exit_2_stderr_matches_golden(case):
+    code, _, err = _run(CASES[case])
+    expected = (GOLDEN / f"{case}.err").read_bytes().decode("utf-8")
+    assert (code, err) == (2, expected)
+
+
 def _regenerate() -> None:
     exit_codes = {}
     for case, argv in sorted(CASES.items()):
-        code, out = _run(argv)
+        code, out, err = _run(argv)
         (GOLDEN / f"{case}.out").write_text(out, encoding="utf-8", newline="")
+        if code == 2:
+            (GOLDEN / f"{case}.err").write_text(err, encoding="utf-8", newline="")
         exit_codes[case] = code
     (GOLDEN / "exit_codes.json").write_text(json.dumps(exit_codes, indent=2) + "\n")
 

@@ -4,8 +4,9 @@
 ``GroundSet.parse_menu_key`` and fills the table from a mask dict, as the
 library did before ``GroundSet.menu_keys``.  On every input both must
 return the same table over the same ground set, or raise the same error
-class with the same message.  Parses with the same options share one cached
-``GroundSet``; the last tests pin that reuse and the cache's bound.
+class with the same message.  Choice-function parses with the same options
+share one cached ``GroundSet``; the last tests pin that reuse, the cache's
+bound, and that structure parses stay out of the cache.
 """
 
 from __future__ import annotations
@@ -402,14 +403,38 @@ def _structure_outcome(text: str):
 
 @pytest.mark.parametrize("text", _STRUCTURE_TEXTS)
 def test_structure_parse_shares_the_ground_and_keeps_its_errors(text, monkeypatch):
-    """The structure parser takes its ground set from the parsed-ground
-    cache; outcomes, errors included, equal those of a fresh ``GroundSet``."""
+    """The structure's types and orders share one ground set, built fresh
+    outside the parsed-ground cache: a structure lists its options in welfare
+    order, a key no choice file shares.  Outcomes, errors included, do not
+    depend on the cache, and a structure parse leaves the cache untouched."""
     got = [_structure_outcome(text) for _ in range(3)]
     with monkeypatch.context() as patch:
         patch.setattr(core, "_parsed_ground", GroundSet)
         assert got == [_structure_outcome(text)] * 3
     if not isinstance(got[0][0], type):
+        before = _parsed_ground.cache_info()
         first, second = parse_structure_json(text), parse_structure_json(text)
-        assert first.ground is second.ground
+        assert _parsed_ground.cache_info() == before
+        assert first.types.ground is first.ground is first.welfare.ground
+        assert first.ground == second.ground
         cf = choice_from_order(LinearOrder(first.ground, first.welfare.ranking))
-        assert parse_choice_function(serialize_choice_function(cf)).ground is first.ground
+        assert parse_choice_function(serialize_choice_function(cf)).ground == first.ground
+
+
+def test_structure_parse_does_not_evict_a_choice_file_ground():
+    """Choice file, structure on the same labels in another order, choice
+    file again: the structure parse leaves the cache alone, and the last
+    parse hits it and returns the first ground.  A second choice file parsed
+    in between fills the other slot, as interleaved sizes do in a batch."""
+    rng = random.Random(31)
+    text = serialize_choice_function(random_choice_function(rng, ground_of_size(4)))
+    first = parse_choice_function(text)
+    _parse_random(rng, 3)
+    doc = {"types": [["o3", "o1"], ["o2", "o0"]], "welfare": ["o3", "o2", "o1", "o0"],
+           "reaction": ["o0", "o1", "o2", "o3"]}
+    before = _parsed_ground.cache_info()
+    parse_structure_json(json.dumps(doc))
+    assert _parsed_ground.cache_info() == before
+    again = parse_choice_function(text)
+    assert _parsed_ground.cache_info().hits == before.hits + 1
+    assert again.ground is first.ground

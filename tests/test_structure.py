@@ -1,10 +1,21 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
-from rschoice.axioms import AxiomViolationError, check_all, tsm_choice, tsm_fixture_spr_violation
+from rschoice import normative, structure
+from rschoice.axioms import (
+    AxiomViolationError,
+    check_all,
+    check_exp,
+    check_ir,
+    check_nrs,
+    check_spr,
+    tsm_choice,
+    tsm_fixture_spr_violation,
+)
 from rschoice.core import (
     GroundSet,
     GroundSetTooLargeError,
@@ -20,6 +31,8 @@ from rschoice.generators import ground_of_size, random_single_peaked_structure, 
 from rschoice.revealed import reveal
 from rschoice.structure import (
     RSStructure,
+    _ConstructionFailure,
+    _construct,
     certify_single_peaked,
     consideration_set,
     enumerate_structures,
@@ -29,7 +42,7 @@ from rschoice.structure import (
     synthesize_rs,
 )
 
-from conftest import cf_from, reextended
+from conftest import cf_from, mixed_choice_function, reextended
 
 
 def test_consideration_set_worked_example():
@@ -292,3 +305,124 @@ def test_structure_json_round_trip():
 def test_enumerate_structures_guard():
     with pytest.raises(GroundSetTooLargeError):
         next(enumerate_structures(ground_of_size(5)))
+
+
+# ---------------------------------------------------------------------------
+# Validation by regeneration against the validate-first reference
+# ---------------------------------------------------------------------------
+
+
+def reference_synthesize_rs(cf, validate=True, report=None):
+    """``synthesize_rs`` as it ran before regeneration became its only
+    validation: with ``validate`` the Exp/NRS/IR checks run first."""
+    if report is None:
+        report = reveal(cf)
+    classes = report.similarity_classes
+    if validate:
+        verdicts = [check_exp(cf), check_nrs(cf, classes), check_ir(cf, classes)]
+        failing = [v for v in verdicts if not v.holds]
+        if failing:
+            raise AxiomViolationError(
+                "choice function fails " + ", ".join(v.axiom for v in failing),
+                verdicts=verdicts,
+            )
+    try:
+        built, trace = _construct(cf, report)
+    except _ConstructionFailure as exc:
+        if validate:
+            raise AssertionError(f"construction failed after clean validation: {exc}") from exc
+        raise AxiomViolationError(f"construction failed: {exc}") from exc
+    if evaluate(built) != cf:
+        if validate:
+            raise AssertionError("synthesized structure does not regenerate its choices")
+        raise AxiomViolationError("synthesized structure does not regenerate its choices")
+    return built, trace
+
+
+def reference_minimal_structure(cf, validate=True):
+    """``minimal_structure`` as it ran before: with ``validate`` SPR is
+    checked first, then the validate-first synthesis."""
+    report = reveal(cf)
+    if validate:
+        verdict = check_spr(cf, report)
+        if not verdict.holds:
+            raise AxiomViolationError("choice function fails SPR", verdicts=[verdict])
+    built, trace = reference_synthesize_rs(cf, validate=validate, report=report)
+    certificate = certify_single_peaked(built)
+    if not certificate.verified:
+        if validate:
+            raise AssertionError("certification failed on an SPR-clean function")
+        raise AxiomViolationError("structure is not single-peaked")
+    assert certificate.thresholds == trace.thresholds
+    assert certificate.peaks == trace.peak_candidates
+    return built, certificate
+
+
+def _outcome(call, *args, **kwargs):
+    """The result's JSON-ready form, or the error's class, message and the
+    verdicts it carries (directly or through its cause)."""
+    try:
+        result = call(*args, **kwargs)
+    except Exception as exc:
+        carrier = exc if isinstance(exc, AxiomViolationError) else exc.__cause__
+        verdicts = [v.to_dict() for v in getattr(carrier, "verdicts", [])]
+        return type(exc), str(exc), verdicts
+    if isinstance(result, tuple):
+        return [r.to_dict() if hasattr(r, "to_dict") else serialize_structure_json(r)
+                for r in result]
+    if isinstance(result, normative.FreedomModel):
+        return serialize_structure_json(result.structure), result.satisfied_sets
+    return result.to_json()
+
+
+def _regeneration_inputs(per_kind):
+    """The SPR fixture, then at n = 2-7: structure-generated functions (any
+    structure, single-peaked) and ``mixed_choice_function`` of every kind
+    (order or single-peaked with up to three picks redrawn, uniform)."""
+    yield tsm_choice(tsm_fixture_spr_violation())  # synthesizes, fails certification
+    rng = random.Random(14)
+    for n in range(2, 8):
+        ground = ground_of_size(n)
+        for _ in range(per_kind):
+            yield evaluate(random_structure(rng, ground))
+            yield evaluate(random_single_peaked_structure(rng, ground))
+            for kind in range(3):
+                yield mixed_choice_function(rng, ground, kind)
+
+
+def test_validation_by_regeneration_matches_the_validate_first_reference(monkeypatch):
+    seen = set()
+    for cf in _regeneration_inputs(per_kind=10):
+        for validate in (True, False):
+            new = _outcome(synthesize_rs, cf, validate=validate)
+            assert new == _outcome(reference_synthesize_rs, cf, validate=validate)
+            new_min = _outcome(minimal_structure, cf, validate=validate)
+            assert new_min == _outcome(reference_minimal_structure, cf, validate=validate)
+            seen.add((validate, new[0] if isinstance(new[0], type) else "ok"))
+            seen.add((validate, new_min[1] if isinstance(new_min[0], type) else "ok"))
+        wrappers = (normative.welfare_report, normative.freedom_model_from_choice)
+        new = [_outcome(call, cf) for call in wrappers]
+        with monkeypatch.context() as patch:
+            patch.setattr(normative, "minimal_structure", reference_minimal_structure)
+            assert new == [_outcome(call, cf) for call in wrappers]
+    # Success and failure both occurred, including the SPR-first message, a
+    # construction that does not regenerate its input and a failed certificate.
+    assert {(True, "ok"), (False, "ok"), (True, AxiomViolationError),
+            (False, AxiomViolationError), (True, "choice function fails SPR"),
+            (False, "synthesized structure does not regenerate its choices"),
+            (False, "structure is not single-peaked")} <= seen
+
+
+def test_synthesis_on_clean_input_runs_no_axiom_checker(monkeypatch, rng):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an axiom checker ran on clean input")
+
+    for name in ("check_exp", "check_nrs", "check_ir", "check_spr"):
+        monkeypatch.setattr(structure, name, refuse)
+    for n in range(2, 9):
+        cf = evaluate(random_single_peaked_structure(rng, ground_of_size(n)))
+        for validate in (True, False):
+            built, _ = synthesize_rs(cf, validate=validate)
+            assert evaluate(built) == cf
+            built, certificate = minimal_structure(cf, validate=validate)
+            assert certificate.verified and evaluate(built) == cf
