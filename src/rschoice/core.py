@@ -159,6 +159,11 @@ class GroundSet:
         return tuple(keys)
 
     def menu_key(self, mask: int) -> str:
+        # Read the key table when a parse has already built it (it sits in
+        # the instance dict); one key never builds the 2^n table.
+        keys = self.__dict__.get("menu_keys")
+        if keys is not None:
+            return keys[mask]
         return MENU_KEY_SEPARATOR.join(self.members(mask))
 
     def parse_menu_key(self, key: str) -> int:

@@ -56,6 +56,24 @@ def test_menu_sequence_for_two_options():
     assert keys == ["x", "y", "x,y"]
 
 
+@pytest.mark.parametrize("size", range(2, 9))
+def test_menu_key_reads_the_table_only_once_it_is_built(size):
+    options = tuple(f"o{i}" for i in range(size))
+
+    def joined(mask):
+        return ",".join(options[i] for i in range(size) if mask >> i & 1)
+
+    fresh = GroundSet(options)
+    for m in enumerate_menus(fresh):
+        assert fresh.menu_key(m) == joined(m)
+    assert "menu_keys" not in fresh.__dict__
+    built = GroundSet(options)
+    table = built.menu_keys
+    for m in enumerate_menus(built):
+        assert built.menu_key(m) == joined(m)
+        assert built.menu_key(m) is table[m]
+
+
 def test_choice_from_order_maximizes():
     ground = GroundSet(("x", "y", "z"))
     cf = choice_from_order(LinearOrder(ground, ("x", "y", "z")))

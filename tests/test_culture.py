@@ -268,11 +268,26 @@ def test_consistency_grid_guard():
 # --- culture_dynamics against every RK4 step ---------------------------------
 
 
-def reference_dynamics(params, record_every):
-    """The integration loop that runs all ``round(horizon / dt)`` steps.
+def reference_effort(beta, value, g, q):
+    """``effort`` as one expression per call, with the builtin ``min``."""
+    corner = (1.0 / g) ** (1.0 / beta)
+    if q >= 1.0:
+        return 0.0
+    try:
+        interior = ((1.0 - q) / beta * value / g) ** (1.0 / (beta - 1.0))
+    except OverflowError:
+        return corner
+    return min(corner, interior)
 
-    Returns ``(trajectory, q_end, converged)``; ``culture_dynamics`` must
-    agree exactly although it stops at the first fixed point.
+
+def reference_dynamics(params, record_every):
+    """The integration loop that runs all ``round(horizon / dt)`` steps and
+    calls ``effort`` at every stage.
+
+    Returns ``(trajectory, q_end, converged, d_star_minority,
+    d_star_majority, g_bar)``; ``culture_dynamics`` must agree exactly
+    although it stops at the first fixed point and computes the step's
+    constants once.
     """
     beta, g = params.beta, params.g
     value_minority = transmission_value(g, params.g_hat, params.v_hat, params.lambda_r)
@@ -297,7 +312,25 @@ def reference_dynamics(params, record_every):
         q = min(max(q, 0.0), 1.0)
         if (k + 1) % record_every == 0 or k == steps - 1:
             trajectory.append(((k + 1) * dt, q))
-    return tuple(trajectory), q, abs(q - steady_state(params)) < 1e-6
+    q_star = steady_state(params)
+    try:
+        g_bar = culture_gbar(params, q_star)
+    except NotInteriorAtGhatError:
+        g_bar = None
+    return (
+        tuple(trajectory),
+        q,
+        abs(q - q_star) < 1e-6,
+        effort(beta, value_minority, g, q_star),
+        effort(beta, v_hat, 1.0, 1.0 - q_star),
+        g_bar,
+    )
+
+
+def _outcome_fields(out):
+    """The ``culture_dynamics`` fields that ``reference_dynamics`` returns."""
+    return (out.trajectory, out.q_end, out.converged, out.d_star_minority,
+            out.d_star_majority, out.g_bar)
 
 
 def _random_params(rng, horizon):
@@ -320,7 +353,7 @@ def test_dynamics_equal_the_full_loop_with_and_without_a_fixed_point():
     for horizon in (200.0, 10.0, 200.0, 10.0, 200.0, 200.0):
         params = _random_params(rng, horizon)
         steps = params.steps
-        full, _, _ = reference_dynamics(params, 1)
+        full = reference_dynamics(params, 1)[0]
         qs = [q for _, q in full]
         if any(a == b for a, b in zip(qs, qs[1:])):
             reached += 1
@@ -328,24 +361,63 @@ def test_dynamics_equal_the_full_loop_with_and_without_a_fixed_point():
             missed += 1
         for record_every in (1, 3, 100, steps, steps + 5, rng.randint(2, 499)):
             out = culture_dynamics(params, record_every=record_every)
-            assert (out.trajectory, out.q_end, out.converged) == reference_dynamics(
-                params, record_every
-            )
+            assert _outcome_fields(out) == reference_dynamics(params, record_every)
     assert reached and missed
+
+
+def test_dynamics_equal_the_full_loop_at_the_edges():
+    # beta within 1e-6 of 1 (the interior power overflows to the corner),
+    # steps of 1 to 100 (q hits the 0/1 clamp), q0 within 1e-12 of 0 and 1,
+    # and the policy below, at and above the reactance threshold.
+    clamped = overflowed = 0
+    for beta in (1.0000001, 1.0000009, 1.7, 3.0):
+        for dt in (0.05, 1.0, 7.0, 100.0):
+            for q0 in (1e-13, 0.3, 1.0 - 1e-13):
+                for g in (1.2, 2.0, 4.0):
+                    params = CultureParams(beta=beta, g_hat=2.0, v_hat=2.5, lambda_r=1.5,
+                                           g=g, q0=q0, dt=dt, horizon=40 * dt)
+                    steps = params.steps
+                    full = reference_dynamics(params, 1)
+                    clamped += any(q in (0.0, 1.0) for _, q in full[0])
+                    overflowed += beta < 1.000001 and full[3] == (1.0 / g) ** (1.0 / beta)
+                    assert _outcome_fields(culture_dynamics(params, record_every=1)) == full
+                    for record_every in (3, 100, steps, steps + 5):
+                        out = culture_dynamics(params, record_every=record_every)
+                        assert _outcome_fields(out) == reference_dynamics(params, record_every)
+    assert clamped and overflowed
+
+
+def test_effort_helper_equals_effort_pointwise():
+    # effort, the helper culture_dynamics calls with its per-run constants,
+    # and the one-expression formula agree on every branch: q >= 1, the
+    # overflowing interior, the corner and the interior, -0.0 and NaN shares.
+    branches = set()
+    for beta in (1.0000001, 1.0000009, 1.5, 2.0, 3.0):
+        power = 1.0 / (beta - 1.0)
+        for g in (1.0, 1.5, 3.0, 100.0):
+            corner = (1.0 / g) ** (1.0 / beta)
+            for value in (1.0, 2.0, 100.0, 1e6):
+                for q in (-0.0, 0.0, 1e-13, 0.3, 0.9, 1.0 - 1e-13, 1.0, 1.5, math.nan):
+                    expected = reference_effort(beta, value, g, q)
+                    assert effort(beta, value, g, q) == expected
+                    assert culture._effort(beta, value, g, q, corner, power) == expected
+                    branches.add("zero" if q >= 1.0 else "corner" if expected == corner
+                                 else "interior")
+    assert branches == {"zero", "corner", "interior"}
 
 
 def test_dynamics_stop_at_the_fixed_point(monkeypatch):
     # The default run reaches an exact fixed point near step 7 900 of 20 000;
-    # each RK4 step calls effort 8 times.
+    # each RK4 step calls the effort helper 8 times.
     calls = 0
-    real_effort = culture.effort
+    real_effort = culture._effort
 
     def counting_effort(*args):
         nonlocal calls
         calls += 1
         return real_effort(*args)
 
-    monkeypatch.setattr(culture, "effort", counting_effort)
+    monkeypatch.setattr(culture, "_effort", counting_effort)
     params = CultureParams(**BASE)
     out = culture_dynamics(params, record_every=100)
     assert calls < 8 * params.steps // 2
