@@ -21,9 +21,11 @@ stable argsort groups the menus by chosen option, batched subset-OR
 transforms skip every family closed under union (O(n 2^n) per family,
 O(2^n) memory), and an open family is pair-scanned in bounded blocks that
 stop at the cap.  Only families of at most 16 menus, and every family
-below six options, are scanned pair by pair in Python.  The other axioms
-read pair and triple menus, O(n^4) at most; IIA walks every submenu of
-every menu, O(3^n).
+below six options, are scanned pair by pair in Python.  NRS, IR and SPR
+read only ``ChoiceFunction.beats``, the n pairwise-choice rows (O(n^2) to
+build, once per function): each scan is O(n^3) bit tests plus O(n) per
+witness listed.  IIA walks every submenu of every menu, O(3^n), over
+``table.tolist()``.
 """
 
 from __future__ import annotations
@@ -133,9 +135,9 @@ def _exp_witnesses(cf: ChoiceFunction) -> Iterator[tuple]:
     ground, table = cf.ground, cf.table
     n = ground.size
     if table.size <= 2 * EXP_SMALL_FAMILY:
-        # Below six options every family is small, and the picks as a tuple
+        # Below six options every family is small, and the picks as a list
         # cost less to build and to read than the argsort and ``item``.
-        choices = cf.choices
+        choices = table.tolist()
         families: list = [[] for _ in range(n)]
         for mask in range(1, table.size):
             families[choices[mask]].append(mask)
@@ -252,22 +254,19 @@ def check_nrs(
 
 
 def _nrs_witnesses(cf: ChoiceFunction, classes: TypePartition) -> Iterator[tuple]:
-    ground = cf.ground
-    choices = cf.choices
-    idx = ground.index
+    """Witnesses (x, y, z) of one class with x beating y, y beating z and z
+    beating x: z ranges over ``beats[y] & ~beats[x]``, which excludes x."""
+    options, beats, index = cf.ground.options, cf.beats, cf.ground.index
     for block in classes.blocks:
-        members = [idx[name] for name in block]
+        members = [index[name] for name in block]
         for x in members:
             for y in members:
-                if y == x or choices[(1 << x) | (1 << y)] != x:
+                if not (beats[x] >> y) & 1:
                     continue
+                cycle = beats[y] & ~beats[x]
                 for z in members:
-                    if z == x or z == y:
-                        continue
-                    if choices[(1 << y) | (1 << z)] != y:
-                        continue
-                    if choices[(1 << x) | (1 << z)] != x:
-                        yield (ground.options[x], ground.options[y], ground.options[z])
+                    if (cycle >> z) & 1:
+                        yield (options[x], options[y], options[z])
 
 
 def check_ir(
@@ -281,34 +280,26 @@ def check_ir(
 
 
 def _ir_witnesses(cf: ChoiceFunction, classes: TypePartition) -> Iterator[tuple]:
-    ground = cf.ground
-    choices = cf.choices
-    n = ground.size
-    block_of = classes.block_of()
-    for x in range(n):
-        bx = block_of[x]
+    """Witnesses (x, y, z, t) with x, y similar and z, t outside their class:
+    every z in ``beats[x] & ~beats[y]`` crossed with every t in
+    ``beats[y] & ~beats[x]``."""
+    options, beats, n = cf.ground.options, cf.beats, cf.ground.size
+    masks = classes.block_masks()
+    for x, bx in enumerate(classes.block_of()):
+        block = masks[bx]
+        outside = cf.ground.full_mask & ~block
         for y in range(n):
-            if y == x or block_of[y] != bx:
+            if y == x or not (block >> y) & 1:
+                continue
+            zs = outside & beats[x] & ~beats[y]
+            ts = outside & beats[y] & ~beats[x]
+            if not (zs and ts):
                 continue
             for z in range(n):
-                if block_of[z] == bx:
-                    continue
-                if choices[(1 << x) | (1 << z)] != x:
-                    continue
-                if choices[(1 << y) | (1 << z)] != z:
-                    continue
-                for t in range(n):
-                    if block_of[t] == bx:
-                        continue
-                    if choices[(1 << y) | (1 << t)] != y:
-                        continue
-                    if choices[(1 << x) | (1 << t)] != x:
-                        yield (
-                            ground.options[x],
-                            ground.options[y],
-                            ground.options[z],
-                            ground.options[t],
-                        )
+                if (zs >> z) & 1:
+                    for t in range(n):
+                        if (ts >> t) & 1:
+                            yield (options[x], options[y], options[z], options[t])
 
 
 def check_spr(
@@ -322,42 +313,29 @@ def check_spr(
 
 
 def _spr_witnesses(cf: ChoiceFunction, report: RevealedReport) -> Iterator[tuple]:
-    ground = cf.ground
-    choices = cf.choices
-    n = ground.size
+    """Witnesses (x, y, z, u): in a class of three or more, x reacts to
+    something, x beats y, y beats z, z reacts to the absence of y, and u,
+    outside the class, is in ``beats[x] & ~beats[y]``."""
+    ground, beats, reaction = cf.ground, cf.beats, report.reaction.rows
+    options, n = ground.options, ground.size
     classes = report.similarity_classes
-    block_of = classes.block_of()
-    reacts = [row != 0 for row in report.reaction.rows]
-    reaction_rows = report.reaction.rows
-    for block in classes.blocks:
-        members = [ground.index[name] for name in block]
-        if len(members) < 3:
+    for block, mask in zip(classes.blocks, classes.block_masks()):
+        if len(block) < 3:
             continue
-        bx = block_of[members[0]]
-        outside = [u for u in range(n) if block_of[u] != bx]
+        members = [ground.index[name] for name in block]
+        outside = ground.full_mask & ~mask
         for x in members:
-            if not reacts[x]:
+            if not reaction[x]:
                 continue
             for y in members:
-                if y == x or choices[(1 << x) | (1 << y)] != x:
+                us = outside & beats[x] & ~beats[y]
+                if not ((beats[x] >> y) & 1 and us):
                     continue
                 for z in members:
-                    if z == x or z == y:
-                        continue
-                    if choices[(1 << y) | (1 << z)] != y:
-                        continue
-                    if not (reaction_rows[z] >> y) & 1:
-                        continue
-                    for u in outside:
-                        if choices[(1 << x) | (1 << u)] != x:
-                            continue
-                        if choices[(1 << y) | (1 << u)] != y:
-                            yield (
-                                ground.options[x],
-                                ground.options[y],
-                                ground.options[z],
-                                ground.options[u],
-                            )
+                    if (beats[y] >> z) & 1 and (reaction[z] >> y) & 1:
+                        for u in range(n):
+                            if (us >> u) & 1:
+                                yield (options[x], options[y], options[z], options[u])
 
 
 def check_iia(cf: ChoiceFunction, cap: int = DEFAULT_VIOLATION_CAP) -> AxiomVerdict:
@@ -367,7 +345,7 @@ def check_iia(cf: ChoiceFunction, cap: int = DEFAULT_VIOLATION_CAP) -> AxiomVerd
 
 def _iia_witnesses(cf: ChoiceFunction) -> Iterator[tuple]:
     ground = cf.ground
-    choices = cf.choices
+    choices = cf.table.tolist()
     for mask in range(1, ground.full_mask + 1):
         chosen = choices[mask]
         bit = 1 << chosen

@@ -27,8 +27,12 @@ passes run on it: ``choice_from_order`` here,
 ``revealed.single_deletion_switches``, ``structure.evaluate``,
 ``normative.bernheim_rangel_pstar`` and the Expansion gate and scan.  Reshaping a
 table to ``(-1, 2, 1 << y)`` pairs every menu without option y (``[:, 0]``)
-with the same menu plus y (``[:, 1]``).  The per-menu scans read
-``choices``, the same picks as a tuple of ints.
+with the same menu plus y (``[:, 1]``).  The pair and triple readers
+(``revealed.reveal_binary`` and ``reveal_reaction``; NRS, IR and SPR in
+``axioms``) read ``beats``, pairwise choice as n bitmask rows built once
+from the n(n-1)/2 pair menus in O(n^2), and look a triple up with
+``table.item``; none of them touches the rest of the table.  ``choices``,
+the picks as a tuple of ints, is read by no module here.
 """
 
 from __future__ import annotations
@@ -227,6 +231,7 @@ class TypePartition:
 
     ground: GroundSet
     blocks: tuple[tuple[str, ...], ...]
+    _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         masks = []
@@ -235,18 +240,20 @@ class TypePartition:
             if not block:
                 raise InvalidGroundSetError("empty partition block")
             mask = self.ground.mask_of(block)
+            if mask.bit_count() != len(block):
+                raise InvalidGroundSetError(f"partition block {list(block)!r} repeats an option")
             if mask & union:
                 raise InvalidGroundSetError("partition blocks overlap")
             union |= mask
             masks.append(mask)
         if union != self.ground.full_mask:
             raise InvalidGroundSetError("partition blocks do not cover the ground set")
-        order = sorted(range(len(masks)), key=lambda k: masks[k] & -masks[k])
-        canon = tuple(self.ground.members(masks[k]) for k in order)
-        object.__setattr__(self, "blocks", canon)
+        masks.sort(key=lambda mask: mask & -mask)
+        object.__setattr__(self, "blocks", tuple(self.ground.members(mask) for mask in masks))
+        object.__setattr__(self, "_masks", tuple(masks))
 
     def block_masks(self) -> tuple[int, ...]:
-        return tuple(self.ground.mask_of(b) for b in self.blocks)
+        return self._masks
 
     def block_of(self) -> list[int]:
         """out[i] = block index of the option at ground position i."""
@@ -319,8 +326,23 @@ class ChoiceFunction:
 
     @cached_property
     def choices(self) -> tuple[int, ...]:
-        """``table`` as a tuple of ints, for the per-menu scans."""
+        """``table`` as a tuple of ints.  No module of the library reads it:
+        it is kept for callers that compare whole tables as tuples."""
         return tuple(self.table.tolist())
+
+    @cached_property
+    def beats(self) -> tuple[int, ...]:
+        """Pairwise choice as n bitmask rows: bit y of ``beats[x]`` is set
+        iff x = c{x, y}.  Read off the n(n-1)/2 pair menus, O(n^2)."""
+        item, n = self.table.item, self.ground.size
+        rows = [0] * n
+        for x in range(n):
+            for y in range(x + 1, n):
+                if item((1 << x) | (1 << y)) == x:
+                    rows[x] |= 1 << y
+                else:
+                    rows[y] |= 1 << x
+        return tuple(rows)
 
     def __eq__(self, other):
         if not isinstance(other, ChoiceFunction):

@@ -99,39 +99,29 @@ class RevealedReport:
 
 def reveal_binary(cf: ChoiceFunction) -> BinaryRelation:
     """Strict pairwise revealed preference: x beats y iff x = c{x,y}."""
-    n = cf.ground.size
-    choices = cf.choices
-    rows = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            winner = choices[(1 << i) | (1 << j)]
-            loser = j if winner == i else i
-            rows[winner] |= 1 << loser
-    return BinaryRelation(cf.ground, tuple(rows), strict=True)
+    return BinaryRelation(cf.ground, cf.beats)
 
 
 def reveal_reaction(cf: ChoiceFunction) -> tuple[BinaryRelation, dict[tuple[str, str], str]]:
     """Reaction relation with one witness per pair.
 
-    Scans all ordered pairs (x, y) and all third options z; the recorded
+    Scans all ordered pairs (x, y) and the third options z with x = c{x,z}
+    (bits of ``beats[x]``), reading only the triple menu; the recorded
     witness is the qualifying z with the smallest ground-set position.
     """
     ground = cf.ground
     n = ground.size
-    choices = cf.choices
+    beats, item = cf.beats, cf.table.item
     rows = [0] * n
     witness: dict[tuple[str, str], str] = {}
     for x in range(n):
-        xbit = 1 << x
         for y in range(n):
-            if x == y:
+            third = beats[x] & ~(1 << y)
+            if x == y or not third:
                 continue
-            pair_xy = xbit | (1 << y)
+            pair_xy = (1 << x) | (1 << y)
             for z in range(n):
-                zbit = 1 << z
-                if zbit & pair_xy:
-                    continue
-                if choices[pair_xy | zbit] == z and choices[xbit | zbit] == x:
+                if (third >> z) & 1 and item(pair_xy | 1 << z) == z:
                     rows[x] |= 1 << y
                     witness[(ground.options[x], ground.options[y])] = ground.options[z]
                     break

@@ -317,6 +317,13 @@ def test_structure_welfare_given_as_a_string_is_rejected(capsys, tmp_path):
     _assert_one_coded_error(*_freedom_on(capsys, tmp_path, text), "invalid-ground-set")
 
 
+def test_structure_type_that_repeats_an_option_is_rejected(capsys, tmp_path):
+    text = '{"types": [["a", "a", "b"], ["c"]], "welfare": ["a", "b", "c"], "reaction": ["c", "a", "b"]}'
+    code, out, err = _freedom_on(capsys, tmp_path, text)
+    _assert_one_coded_error(code, out, err, "invalid-ground-set")
+    assert "repeats an option" in err
+
+
 def test_seed_env_var_sets_default(capsys, monkeypatch):
     monkeypatch.setenv("RSCHOICE_SEED", "99")
     _, with_env, _ = run(capsys, "sweep", "media", "--samples", "20")
