@@ -26,7 +26,7 @@ from .core import (
     ChoiceModelError,
     GroundSet,
     MalformedKeyError,
-    choice_function_doc,
+    _choice_texts,
     enumerate_tables,
     parse_choice_function,
     parse_structure_json,
@@ -64,12 +64,26 @@ class PointBudgetError(ChoiceModelError):
     code = "too-many-points"
 
 
+class InputNotFoundError(ChoiceModelError):
+    code = "file-not-found"
+
+
+class InputPathError(ChoiceModelError):
+    code = "invalid-input-path"
+
+
 class OutputPathError(ChoiceModelError):
     code = "invalid-output-path"
 
 
 class InvalidSeedError(ChoiceModelError):
     code = "invalid-seed"
+
+
+def _reason(exc: OSError | ValueError) -> str:
+    """Why a path could not be opened: the OS message, or the ``ValueError``
+    text (a NUL byte in the path)."""
+    return getattr(exc, "strerror", None) or str(exc)
 
 
 def _read_input(path: str) -> bytes:
@@ -80,14 +94,19 @@ def _read_input(path: str) -> bytes:
             return fh.read()
     except IsADirectoryError as exc:
         raise MalformedKeyError(f"input {path!r} is a directory, not a file") from exc
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        raise InputNotFoundError(str(exc)) from exc
+    except (OSError, ValueError) as exc:
+        raise InputPathError(f"cannot read input {path!r}: {_reason(exc)}") from exc
 
 
 def _write(path: str, text: str) -> None:
+    data = text.encode("utf-8")  # outside the try: only the path's failures are caught
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except (IsADirectoryError, NotADirectoryError, PermissionError) as exc:
-        raise OutputPathError(f"cannot write output {path!r}: {exc.strerror}") from exc
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except (OSError, ValueError) as exc:
+        raise OutputPathError(f"cannot write output {path!r}: {_reason(exc)}") from exc
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -247,11 +266,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             ps = p_values * len(lam_values)
             lams = [lam for lam in lam_values for _ in p_values]
         chosen, u_l, v_rr = media_sweep(ps, lams, args.menu)
-        for p, lam, c, u, v in zip(ps, lams, chosen.tolist(), u_l.tolist(), v_rr.tolist()):
-            lines.append(
-                f"{p:.10f},{lam:.10f},{args.menu},{SOURCES[c]},"
-                f"{u:.12f},{v:.12f},{media_pstar(lam):.12f}"
-            )
+        # A grid formats each p once, and each lambda with its p* once.
+        grid = not args.samples
+        p_cells = [f"{p:.10f}" for p in (p_values if grid else ps)]
+        lam_cells = [(f"{lam:.10f},{args.menu}", f"{media_pstar(lam):.12f}")
+                     for lam in (lam_values if grid else lams)]
+        if grid:
+            p_cells *= len(lam_values)
+            lam_cells = [cell for cell in lam_cells for _ in p_values]
+        rows = zip(p_cells, lam_cells, chosen.tolist(), u_l.tolist(), v_rr.tolist())
+        for p, (lam, pstar), c, u, v in rows:
+            lines.append(f"{p},{lam},{SOURCES[c]},{u:.12f},{v:.12f},{pstar}")
     else:
         if args.g_range is None:
             raise InvalidRangeError("culture sweep needs --g-range")
@@ -286,8 +311,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.count_only:
         _emit(json.dumps({"count": len(tables)}) + "\n", args.out)
         return 0
-    chunks = [json.dumps(choice_function_doc(ground, table)) for table in tables[:args.limit]]
-    _emit("\n".join(chunks) + ("\n" if chunks else ""), args.out)
+    _emit("".join(_choice_texts(ground, tables[:args.limit], "line")), args.out)
     return 0
 
 
@@ -395,9 +419,6 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.subcommand](args)
     except ChoiceModelError as exc:
         sys.stderr.write(json.dumps({"error": exc.code, "message": str(exc)}) + "\n")
-        return 2
-    except FileNotFoundError as exc:
-        sys.stderr.write(json.dumps({"error": "file-not-found", "message": str(exc)}) + "\n")
         return 2
 
 

@@ -43,6 +43,8 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, product
+from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 from typing import Iterator
 
 import numpy as np
@@ -517,13 +519,6 @@ def parse_choice_function(text: bytes | str, format: str = "json") -> ChoiceFunc
     return _function_from_entries(ground, menus, picks)
 
 
-def choice_function_doc(ground: GroundSet, table: np.ndarray) -> dict:
-    """JSON document of the choice table ``table`` on ``ground``: its options,
-    then its menus in ascending bit pattern."""
-    chosen = map(ground.options.__getitem__, table.tolist()[1:])
-    return {"options": list(ground.options), "choices": dict(zip(ground.menu_keys[1:], chosen))}
-
-
 def structure_doc(structure) -> dict:
     """JSON document of an ``RSStructure``: its types, then both orders best-first."""
     return {
@@ -533,17 +528,58 @@ def structure_doc(structure) -> dict:
     }
 
 
+#: Choice tables ``_choice_texts`` maps to label cells at once, which
+#: bounds the object array of cells and its row lists (about 1 MB for
+#: four options).
+TEXT_BLOCK_ROWS = 4096
+
+#: ``csv.writer``'s ``writerow`` returns what its file's ``write`` returns;
+#: with ``str`` as ``write`` it returns the row's text.
+_csv_row = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+
+
+def _csv_cell(value: str) -> str:
+    """``value`` as ``csv.writer`` writes it as one field of a row."""
+    return _csv_row((value,))[:-1]
+
+
+def _choice_texts(ground: GroundSet, tables: np.ndarray, form: str) -> Iterator[str]:
+    """The text of each row of ``tables`` (choice tables on ``ground``, laid
+    out as ``ChoiceFunction.table``), menus in ascending bit pattern.
+
+    ``form`` is "json" (the indented file), "line" (the same document on
+    one line, ending in a line break) or "csv".  The constant text, with a
+    slot for the chosen label of each nonempty menu, is built once per
+    call, and each option's label cell is encoded once; a table fills the
+    slots in one join.  Cells come from the encoders ``json.dumps`` and
+    ``csv.writer`` use, so each text is theirs byte for byte.
+    """
+    encode = _csv_cell if form == "csv" else encode_basestring_ascii
+    labels = list(map(encode, ground.options))
+    if form == "json":
+        head = '{\n  "options": [\n    ' + ",\n    ".join(labels) + '\n  ],\n  "choices": {\n    '
+        sep, colon, tail = ",\n    ", ": ", "\n  }\n}\n"
+    elif form == "line":
+        head = '{"options": [' + ", ".join(labels) + '], "choices": {'
+        sep, colon, tail = ", ", ": ", "}}\n"
+    else:
+        head, sep, colon, tail = "menu,choice\n", "\n", ",", "\n"
+    keys = map(encode, ground.menu_keys[1:])
+    constants = [head + next(keys) + colon, *(sep + key + colon for key in keys), tail]
+    parts = [""] * (2 * len(constants) - 1)
+    parts[0::2] = constants
+    cells = np.array(labels, dtype=object)
+    for start in range(0, len(tables), TEXT_BLOCK_ROWS):
+        for row in cells[tables[start:start + TEXT_BLOCK_ROWS, 1:]].tolist():
+            parts[1::2] = row
+            yield "".join(parts)
+
+
 def serialize_choice_function(cf: ChoiceFunction, format: str = "json") -> str:
     """Canonical textual form; menus in ascending bit-pattern order."""
-    if format == "json":
-        return json.dumps(choice_function_doc(cf.ground, cf.table), indent=2) + "\n"
-    if format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["menu", "choice"])
-        writer.writerows(choice_function_doc(cf.ground, cf.table)["choices"].items())
-        return out.getvalue()
-    raise MalformedKeyError(f"unknown format {format!r}")
+    if format not in ("json", "csv"):
+        raise MalformedKeyError(f"unknown format {format!r}")
+    return next(_choice_texts(cf.ground, cf.table[np.newaxis], format))
 
 
 def parse_structure_json(text: bytes | str):

@@ -20,6 +20,14 @@ def cf_from(options: tuple[str, ...], choices: dict[str, str]) -> ChoiceFunction
     return ChoiceFunction(ground, tuple(table))
 
 
+def choice_function_doc(ground: GroundSet, table) -> dict:
+    """JSON document of the choice table ``table`` on ``ground``: its options,
+    then its menus in ascending bit pattern.  Through ``json.dumps`` and
+    ``csv.writer`` it is the reference for the library's choice writer."""
+    chosen = map(ground.options.__getitem__, table.tolist()[1:])
+    return {"options": list(ground.options), "choices": dict(zip(ground.menu_keys[1:], chosen))}
+
+
 def mixed_choice_function(rng: random.Random, ground: GroundSet, kind: int) -> ChoiceFunction:
     """Kind 0: the choice of a random order; 1: of a random single-peaked
     structure, both with up to three picks redrawn; 2: a uniformly random

@@ -186,15 +186,22 @@ def test_enumerate_stream_limit(capsys):
 
 
 def test_enumerate_lines_match_the_compacted_serialization(capsys):
-    code, out, _ = run(capsys, "enumerate", "--options", "x,y,z")
-    ground = GroundSet(("x", "y", "z"))
-    expected = [
-        json.dumps(json.loads(serialize_choice_function(cf)))
-        for cf in enumerate_choice_functions(ground)
+    cases = [
+        ("x,y,z", 24),
+        ("a,b,c,d", 20_736),
+        ('\u00e9,"q",b\\ %{', 24),  # labels JSON escapes, and % and { as text
     ]
-    assert code == 0
-    assert out.splitlines() == expected
-    assert len(expected) == 24
+    for options, count in cases:
+        code, out, _ = run(capsys, "enumerate", "--options", options)
+        ground = GroundSet(tuple(options.split(",")))
+        expected = [
+            json.dumps(json.loads(serialize_choice_function(cf)))
+            for cf in enumerate_choice_functions(ground)
+        ]
+        assert code == 0
+        assert out.splitlines() == expected
+        assert len(expected) == count
+        assert run(capsys, "enumerate", "--options", options, "--limit", "0")[:2] == (0, "")
 
 
 def test_missing_file_is_a_coded_error(capsys):
@@ -228,6 +235,25 @@ def test_list_as_chosen_value_is_a_coded_error(capsys, tmp_path):
 
 def test_directory_as_input_is_a_coded_error(capsys, tmp_path):
     _assert_one_coded_error(*run(capsys, "check-axioms", str(tmp_path)), "malformed-key")
+
+
+@pytest.mark.parametrize("name, error", [
+    ("input.json/x", "file-not-found"),
+    ("x" * 300, "invalid-input-path"),
+    ("in\0put.json", "invalid-input-path"),
+], ids=["through-a-file", "name-too-long", "nul-byte"])
+def test_unopenable_input_path_is_a_coded_error(capsys, tmp_path, name, error):
+    (tmp_path / "input.json").write_text("{}")
+    _assert_one_coded_error(*run(capsys, "check-axioms", f"{tmp_path}/{name}"), error)
+
+
+@pytest.mark.parametrize("name", [
+    "missing/out.json", "input.json/out.json", "x" * 300, "o\0ut.json",
+], ids=["missing-directory", "through-a-file", "name-too-long", "nul-byte"])
+def test_unwritable_output_path_is_a_coded_error(capsys, tmp_path, tsm1_file, name):
+    (tmp_path / "input.json").write_text("{}")
+    result = run(capsys, "check-axioms", tsm1_file, "--out", f"{tmp_path}/{name}")
+    _assert_one_coded_error(*result, "invalid-output-path")
 
 
 def test_options_given_as_a_string_is_rejected(capsys, tmp_path):

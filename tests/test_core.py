@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import contextlib
+import csv
+import io
+import json
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,13 +26,16 @@ from rschoice.core import (
     choice_from_order,
     enumerate_choice_functions,
     enumerate_menus,
+    enumerate_tables,
     parse_choice_function,
     serialize_choice_function,
 )
 from rschoice.axioms import check_iia
+from rschoice.cli import main
+from rschoice.generators import random_choice_function
 from rschoice.revealed import reveal_reaction
 
-from conftest import cf_from
+from conftest import cf_from, choice_function_doc
 
 
 def test_ground_set_rejects_bad_identifiers():
@@ -191,6 +200,33 @@ def test_serialize_parse_round_trip_is_byte_stable(data):
         again = parse_choice_function(text, fmt)
         assert again.choices == cf.choices
         assert serialize_choice_function(again, format=fmt) == text
+
+
+# Labels that JSON or CSV must escape, and % and { that a format string would read.
+LABELS = st.lists(
+    st.text(st.sampled_from('ab\u00e9\u2603"\\%{} \n\r'), min_size=1, max_size=3),
+    min_size=2, max_size=4, unique=True,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(labels=LABELS, seed=st.integers(0, 2**32), limit=st.integers(0, 30))
+def test_writers_match_json_dumps_and_csv_writer(labels, seed, limit):
+    ground = GroundSet(tuple(labels))
+    cf = random_choice_function(random.Random(seed), ground)
+    doc = choice_function_doc(ground, cf.table)
+    assert serialize_choice_function(cf) == json.dumps(doc, indent=2) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["menu", "choice"])
+    writer.writerows(doc["choices"].items())
+    assert serialize_choice_function(cf, "csv") == out.getvalue()
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert main(["enumerate", "--options", ",".join(labels), "--limit", str(limit)]) == 0
+    tables = enumerate_tables(ground)[:limit]
+    assert printed.getvalue() == "".join(json.dumps(choice_function_doc(ground, t)) + "\n"
+                                         for t in tables)
 
 
 def test_partition_validation():
