@@ -20,6 +20,8 @@ import os
 import random
 import sys
 
+import numpy as np
+
 from .axioms import DEFAULT_VIOLATION_CAP, AxiomViolationError, check_all
 from .core import (
     ChoiceFunction,
@@ -243,6 +245,14 @@ def _sweep_seed(args: argparse.Namespace) -> int:
         raise InvalidSeedError(f"${SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
 
 
+def _fixed12(values: np.ndarray) -> list[str]:
+    """Each value formatted with ``:.12f``, each distinct one once.  Values
+    are told apart by their float64 bits: -0.0 and 0.0 print differently."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    cells = np.array([f"{v:.12f}" for v in bits.view(np.float64).tolist()], dtype=object)
+    return cells[inverse.ravel()].tolist()
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     rng = random.Random(_sweep_seed(args))
     lines: list[str] = []
@@ -266,7 +276,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             ps = p_values * len(lam_values)
             lams = [lam for lam in lam_values for _ in p_values]
         chosen, u_l, v_rr = media_sweep(ps, lams, args.menu)
-        # A grid formats each p once, and each lambda with its p* once.
+        # A grid formats each p once, and each lambda with its p* once;
+        # u and v are formatted once per distinct value.
         grid = not args.samples
         p_cells = [f"{p:.10f}" for p in (p_values if grid else ps)]
         lam_cells = [(f"{lam:.10f},{args.menu}", f"{media_pstar(lam):.12f}")
@@ -274,9 +285,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if grid:
             p_cells *= len(lam_values)
             lam_cells = [cell for cell in lam_cells for _ in p_values]
-        rows = zip(p_cells, lam_cells, chosen.tolist(), u_l.tolist(), v_rr.tolist())
+        rows = zip(p_cells, lam_cells, chosen.tolist(), _fixed12(u_l), _fixed12(v_rr))
         for p, (lam, pstar), c, u, v in rows:
-            lines.append(f"{p},{lam},{SOURCES[c]},{u:.12f},{v:.12f},{pstar}")
+            lines.append(f"{p},{lam},{SOURCES[c]},{u},{v},{pstar}")
     else:
         if args.g_range is None:
             raise InvalidRangeError("culture sweep needs --g-range")

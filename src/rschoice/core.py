@@ -14,12 +14,21 @@ the freedom table read this one table.  ``parse_choice_function`` keeps the
 last ``PARSED_GROUND_CACHE_SIZE`` ground sets it built, keyed by their
 options, so files with the same options share one ground set and one table
 (structure files, listing options in welfare order, build their own).
-A canonical file, whose key list equals ``menu_keys[1:]``, is parsed in
-bulk: one list comparison, one map of the chosen labels to positions, and
-the membership check in ``ChoiceFunction``.  Any other file, or a canonical
-one whose bulk build fails, is checked entry by entry, so errors name the
-first bad entry; keys out of canonical order or form go to
-``GroundSet.parse_menu_key``.
+
+The writers fill one text template per ground set and form
+(``GroundSet.text_template``, kept with the ground set): the encoded keys,
+separators, head and tail, with a slot for each menu's chosen label.  A
+JSON file that is byte for byte the writer's text, on at least
+``CANONICAL_READ_MIN_SIZE`` options, is read against that template with
+no JSON decoding (``_read_canonical``): the line breaks give the label
+cells, a few bytes of each cell name its option, and the text the writer
+makes of the table so read must equal the file.  Any other file goes
+through ``json.loads``.  There a file whose key list equals
+``menu_keys[1:]`` is built in bulk: one list comparison, one map of the
+chosen labels to positions, and the membership check in ``ChoiceFunction``.
+Any other file, or one whose bulk build fails, is checked entry by entry,
+so errors name the first bad entry; keys out of canonical order or form go
+to ``GroundSet.parse_menu_key``.
 
 A ``ChoiceFunction`` stores its 2^n picks as one read-only ``np.int8``
 array, ``table``, checked in one numpy pass when it is built.  Whole-table
@@ -42,7 +51,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain, product
+from itertools import chain, combinations, product
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Iterator
@@ -57,9 +66,14 @@ MAX_GROUND_SIZE = 24
 #: Largest ground set for full choice-function enumeration (count is prod |A|).
 MAX_ENUMERATION_SIZE = 4
 
-#: Ground sets ``parse_choice_function`` keeps, with their key tables (one
-#: table is about 100 MB at n = 20).
+#: Ground sets ``parse_choice_function`` keeps, with their key tables and
+#: text templates (together about 200 MB at n = 20).
 PARSED_GROUND_CACHE_SIZE = 2
+
+#: Fewest options for which ``parse_choice_function`` reads a file that
+#: rschoice wrote against the writer's template; below it ``json.loads``
+#: is faster.
+CANONICAL_READ_MIN_SIZE = 6
 
 
 class ChoiceModelError(Exception):
@@ -124,6 +138,10 @@ class GroundSet:
         for pos, name in enumerate(opts):
             if not isinstance(name, str) or not name:
                 raise InvalidGroundSetError(f"empty or non-string option at position {pos}")
+            try:
+                name.encode("utf-8")
+            except UnicodeEncodeError as exc:  # a lone surrogate
+                raise InvalidGroundSetError(f"option {name!r} is not encodable as UTF-8") from exc
             if MENU_KEY_SEPARATOR in name:
                 raise InvalidGroundSetError(
                     f"option {name!r} contains the menu-key separator {MENU_KEY_SEPARATOR!r}"
@@ -163,6 +181,15 @@ class GroundSet:
             tail = MENU_KEY_SEPARATOR + label
             keys += [label, *[key + tail for key in keys[1:]]]
         return tuple(keys)
+
+    def text_template(self, form: str) -> "_TextTemplate":
+        """The constant text of this ground's choice tables in ``form``
+        ("json", "line" or "csv"), built on first use and kept with the
+        ground set."""
+        templates = self.__dict__.setdefault("_text_templates", {})
+        if form not in templates:
+            templates[form] = _TextTemplate(self, form)
+        return templates[form]
 
     def menu_key(self, mask: int) -> str:
         # Read the key table when a parse has already built it (it sits in
@@ -490,7 +517,15 @@ def _function_from_entries(ground: GroundSet, menus: list, picks: list) -> Choic
 
 
 def parse_choice_function(text: bytes | str, format: str = "json") -> ChoiceFunction:
-    """Parse and validate a choice function from JSON or CSV bytes."""
+    """Parse and validate a choice function from JSON or CSV bytes.
+
+    A JSON file that rschoice wrote is read against the writer's template
+    (``_read_canonical``); any other text goes through ``json.loads``.
+    """
+    if format == "json":
+        cf = _read_canonical(text)
+        if cf is not None:
+            return cf
     text = _decode(text)
     if format == "json":
         doc = _load_json(text, object_pairs_hook=_reject_duplicate_keys)
@@ -543,36 +578,159 @@ def _csv_cell(value: str) -> str:
     return _csv_row((value,))[:-1]
 
 
+#: Start of a choice file as ``serialize_choice_function`` writes it, and
+#: the text between its option list and its first menu key.
+_FILE_OPEN = '{\n  "options": [\n    '
+_FILE_CHOICES = '\n  ],\n  "choices": {\n    '
+
+
+class _TextTemplate:
+    """A ground set's choice tables as text in one form, less the picks.
+
+    ``constants`` holds the head with the first menu's key, each separator
+    with the next menu's key, and the tail; the text of a table puts the
+    label cell of each menu's pick, ``cells[pick]``, between them.  Cells
+    come from the encoders ``json.dumps`` and ``csv.writer`` use, so each
+    text is theirs byte for byte.  ``cell_offsets`` and ``cell_reader``,
+    which ``_read_canonical`` reads the file form (json) with, are built
+    on first use.
+    """
+
+    def __init__(self, ground: GroundSet, form: str):
+        encode = _csv_cell if form == "csv" else encode_basestring_ascii
+        self.cells = list(map(encode, ground.options))
+        if form == "json":
+            head = _FILE_OPEN + ",\n    ".join(self.cells) + _FILE_CHOICES
+            sep, colon, tail = ",\n    ", ": ", "\n  }\n}\n"
+        elif form == "line":
+            head = '{"options": [' + ", ".join(self.cells) + '], "choices": {'
+            sep, colon, tail = ", ", ": ", "}}\n"
+        else:
+            head, sep, colon, tail = "menu,choice\n", "\n", ",", "\n"
+        keys = map(encode, ground.menu_keys[1:])
+        self.constants = [head + next(keys) + colon, *(sep + key + colon for key in keys), tail]
+
+    @cached_property
+    def cell_offsets(self) -> np.ndarray:
+        """Bytes from the line break before each menu's entry to its label
+        cell: the rest of the constant before the cell, whose last line
+        break is its second byte (in the head, further on)."""
+        constants = self.constants[:-1]
+        offsets = np.fromiter(map(len, constants), np.intp, len(constants)) - 1
+        offsets[0] = len(constants[0]) - constants[0].rindex("\n")
+        return offsets
+
+    @cached_property
+    def cell_reader(self) -> tuple[list[int], list[np.ndarray], np.ndarray]:
+        """Which option a label cell names, read from a few of its bytes.
+
+        A cell is read at each of ``offsets`` in turn, walking one table
+        per offset: ``tables[i][state + byte]`` is the next state, states
+        counted in steps of 256 and the last one dead.  Each offset splits
+        one state, at a byte where its shortest label differs from another
+        (an encoded label is a prefix of no other), so every label it
+        splits has a byte there; the other states pass any byte.
+        ``picks[state]`` is the option of a final state, -1 for the others.
+        """
+        cells = [cell.encode("ascii") for cell in self.cells]
+        offsets, tables, states, count = [], [], [0] * len(cells), 1
+        while count < len(cells):
+            split = next(state for state in states if states.count(state) > 1)
+            short, other = sorted((c for c, state in zip(cells, states) if state == split), key=len)[:2]
+            offset = next(i for i, (x, y) in enumerate(zip(short, other)) if x != y)
+            step: dict[tuple[int, int | None], int] = {}
+            for i, cell in enumerate(cells):
+                key = (states[i], cell[offset] if states[i] == split else None)
+                states[i] = step.setdefault(key, 256 * len(step))
+            table = np.full(256 * (count + 1), 256 * len(step), np.intp)
+            for (state, byte), nxt in step.items():
+                if byte is None:
+                    table[state:state + 256] = nxt
+                else:
+                    table[state + byte] = nxt
+            offsets.append(offset)
+            tables.append(table)
+            count = len(step)
+        picks = np.full(256 * (count + 1), -1, np.int8)
+        picks[states] = range(len(cells))
+        return offsets, tables, picks
+
+
 def _choice_texts(ground: GroundSet, tables: np.ndarray, form: str) -> Iterator[str]:
     """The text of each row of ``tables`` (choice tables on ``ground``, laid
     out as ``ChoiceFunction.table``), menus in ascending bit pattern.
 
     ``form`` is "json" (the indented file), "line" (the same document on
-    one line, ending in a line break) or "csv".  The constant text, with a
-    slot for the chosen label of each nonempty menu, is built once per
-    call, and each option's label cell is encoded once; a table fills the
-    slots in one join.  Cells come from the encoders ``json.dumps`` and
-    ``csv.writer`` use, so each text is theirs byte for byte.
+    one line, ending in a line break) or "csv".  The constant text comes
+    from ``ground.text_template(form)``; a table fills its slots in one
+    join.
     """
-    encode = _csv_cell if form == "csv" else encode_basestring_ascii
-    labels = list(map(encode, ground.options))
-    if form == "json":
-        head = '{\n  "options": [\n    ' + ",\n    ".join(labels) + '\n  ],\n  "choices": {\n    '
-        sep, colon, tail = ",\n    ", ": ", "\n  }\n}\n"
-    elif form == "line":
-        head = '{"options": [' + ", ".join(labels) + '], "choices": {'
-        sep, colon, tail = ", ", ": ", "}}\n"
-    else:
-        head, sep, colon, tail = "menu,choice\n", "\n", ",", "\n"
-    keys = map(encode, ground.menu_keys[1:])
-    constants = [head + next(keys) + colon, *(sep + key + colon for key in keys), tail]
-    parts = [""] * (2 * len(constants) - 1)
-    parts[0::2] = constants
-    cells = np.array(labels, dtype=object)
+    template = ground.text_template(form)
+    parts = [""] * (2 * len(template.constants) - 1)
+    parts[0::2] = template.constants
+    cells = np.array(template.cells, dtype=object)
     for start in range(0, len(tables), TEXT_BLOCK_ROWS):
         for row in cells[tables[start:start + TEXT_BLOCK_ROWS, 1:]].tolist():
             parts[1::2] = row
             yield "".join(parts)
+
+
+def _read_canonical(text: bytes | str) -> ChoiceFunction | None:
+    """The function whose file ``text`` is, when ``text`` is byte for byte
+    what ``serialize_choice_function`` writes for it; else None.
+
+    The options come from the file's head, the label cells from the line
+    breaks: each entry holds one line, and neither an encoded key nor an
+    encoded label holds a line break.  A few bytes of each cell name its
+    option (``_TextTemplate.cell_reader``).  The text of the table so read
+    must then equal ``text``, and ``ChoiceFunction`` checks membership;
+    whatever fails returns None, for the ``json.loads`` path to report.
+    Ground sets below ``CANONICAL_READ_MIN_SIZE`` options are left to that
+    path, which is faster there.
+    """
+    # Each of the 2^n - 1 entries takes at least 13 bytes.
+    if len(text) < 13 * ((1 << CANONICAL_READ_MIN_SIZE) - 1):
+        return None
+    if isinstance(text, str):
+        if not (text.startswith(_FILE_OPEN) and text.isascii()):
+            return None
+        text = text.encode("ascii")
+    elif not text.startswith(_FILE_OPEN.encode()):
+        return None
+    end = text.find(_FILE_CHOICES.encode())
+    if end < 0:
+        return None
+    try:
+        options = json.loads(b"[" + text[len(_FILE_OPEN):end] + b"]")
+        n = len(options)
+        if not CANONICAL_READ_MIN_SIZE <= n <= MAX_GROUND_SIZE:
+            return None
+        ground = _parsed_ground(_labels(options, "'options'"))
+    except (ValueError, RecursionError, ChoiceModelError):  # ValueError: bad JSON or UTF-8
+        return None
+    template = ground.text_template("json")
+    buf = np.frombuffer(text, np.uint8)
+    breaks = np.flatnonzero(buf == 10)
+    if len(breaks) != (1 << n) + n + 5:
+        return None
+    # The line break before each entry; a cell starts a key's width later.
+    starts = breaks[n + 3:-3] + template.cell_offsets
+    offsets, tables, picks = template.cell_reader
+    state = np.zeros(len(starts), np.intp)
+    for offset, table in zip(offsets, tables):
+        state += buf.take(starts + offset, mode="clip")
+        state = table.take(state)
+    table = np.empty(len(starts) + 1, np.int8)
+    table[0] = -1
+    picks.take(state, out=table[1:])
+    if table[1:].min() < 0:
+        return None
+    if next(_choice_texts(ground, table[np.newaxis], "json")).encode("ascii") != text:
+        return None
+    try:
+        return ChoiceFunction(ground, table)
+    except ChoiceOutsideMenuError:
+        return None
 
 
 def serialize_choice_function(cf: ChoiceFunction, format: str = "json") -> str:

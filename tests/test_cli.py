@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from rschoice import cli
@@ -155,6 +156,12 @@ def test_sweep_media_flips_at_pstar(capsys):
     assert chosen[:flip] == ["sigmaL"] * flip
     assert all(c == "sigmaRR" for c in chosen[flip:])
     assert float(rows[flip - 1][0]) < pstar <= float(rows[flip][0]) + 0.01
+
+
+def test_sweep_formats_each_distinct_value_as_it_formats_one():
+    values = np.array([0.5, -0.0, 0.0, 0.5, np.nan, -np.nan, np.inf, -np.inf, 1e-13, -1e-13,
+                       0.1 + 0.2, 0.3, 5e-324, 0.0], dtype=np.float64)
+    assert cli._fixed12(values) == [f"{v:.12f}" for v in values.tolist()]
 
 
 def test_sweep_culture_rises_above_threshold(capsys):

@@ -27,6 +27,7 @@ import math
 import random
 import sys
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -166,6 +167,28 @@ def test_near_valid_choice_documents_exit_cleanly(tmp_path_factory, doc, command
 @given(data=structure_documents())
 def test_near_valid_structure_documents_exit_cleanly(tmp_path_factory, data):
     _assert_clean_exit(*_run(tmp_path_factory, ["freedom"], data))
+
+
+# A label JSON can carry as an escape but no UTF-8 text can hold.
+SURROGATE = "\ud800"
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["freedom"], {"types": [[SURROGATE, "b"]], "welfare": [SURROGATE, "b"],
+                   "reaction": ["b", SURROGATE]}),
+    (["check-axioms"], {"options": [SURROGATE, "b"],
+                        "choices": {SURROGATE: SURROGATE, "b": "b", f"{SURROGATE},b": "b"}}),
+    (["enumerate", "--options", f"{SURROGATE},b"], None),
+], ids=["structure", "choice-file", "enumerate-options"])
+def test_lone_surrogate_labels_are_a_coded_error(tmp_path_factory, argv, doc):
+    if doc is None:
+        result = _run_flags(argv)
+    else:
+        result = _run(tmp_path_factory, argv, json.dumps(doc).encode())
+    _assert_clean_exit(*result)
+    code, _, err = result
+    assert code == 2
+    assert json.loads(err)["error"] == "invalid-ground-set"
 
 
 # --- flag values -------------------------------------------------------------

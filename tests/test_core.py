@@ -47,6 +47,8 @@ def test_ground_set_rejects_bad_identifiers():
         GroundSet(("x", "a,b"))
     with pytest.raises(InvalidGroundSetError):
         GroundSet(("x", ""))
+    with pytest.raises(InvalidGroundSetError, match="not encodable as UTF-8"):
+        GroundSet(("\ud800", "b"))
     with pytest.raises(GroundSetTooLargeError):
         GroundSet(tuple(f"o{i}" for i in range(25)))
 
