@@ -20,10 +20,12 @@ The writers fill one text template per ground set and form
 separators, head and tail, with a slot for each menu's chosen label.  A
 JSON file that is byte for byte the writer's text, on at least
 ``CANONICAL_READ_MIN_SIZE`` options, is read against that template with
-no JSON decoding (``_read_canonical``): the line breaks give the label
-cells, a few bytes of each cell name its option, and the text the writer
-makes of the table so read must equal the file.  Any other file goes
-through ``json.loads``.  There a file whose key list equals
+no JSON decoding (``_read_canonical``): a file with fewer bytes or
+another count of line breaks than the file form on its options
+(``_file_layout``) is turned away before any 2^n table is built; then
+the line breaks give the label cells, a few bytes of each cell name its
+option, and the text the writer makes of the table so read must equal the
+file.  Any other file goes through ``json.loads``.  There a file whose key list equals
 ``menu_keys[1:]`` is built in bulk: one list comparison, one map of the
 chosen labels to positions, and the membership check in ``ChoiceFunction``.
 Any other file, or one whose bulk build fails, is checked entry by entry,
@@ -578,10 +580,29 @@ def _csv_cell(value: str) -> str:
     return _csv_row((value,))[:-1]
 
 
-#: Start of a choice file as ``serialize_choice_function`` writes it, and
-#: the text between its option list and its first menu key.
-_FILE_OPEN = '{\n  "options": [\n    '
-_FILE_CHOICES = '\n  ],\n  "choices": {\n    '
+#: The text of the file form (json) around its cells: its start, the text
+#: between two options, between the option list and the first menu key,
+#: between two entries, between a key and its label, and its end.  Only
+#: these hold line breaks, so each entry takes one line.
+_FILE_FORM = ('{\n  "options": [\n    ', ",\n    ", '\n  ],\n  "choices": {\n    ', ",\n    ", ": ", "\n  }\n}\n")
+
+#: The same document on one line ("line" form).
+_LINE_FORM = ('{"options": [', ", ", '], "choices": {', ", ", ": ", "}}\n")
+
+
+def _file_layout(n: int) -> tuple[int, int, int]:
+    """The file form of a table on ``n`` options: its line breaks, how many
+    of them come before the first entry, and its fewest bytes (each of the
+    2^n - 1 entries holds a separator, a colon and two encoded nonempty
+    strings)."""
+    start, between, choices, sep, colon, end = _FILE_FORM
+    head = start.count("\n") + (n - 1) * between.count("\n") + choices.count("\n")
+    breaks = head + ((1 << n) - 2) * sep.count("\n") + end.count("\n")
+    return breaks, head, ((1 << n) - 1) * (len(sep) + len(colon) + 6)
+
+
+#: Bytes below which ``_read_canonical`` leaves a text to ``json.loads``.
+_CANONICAL_READ_MIN_BYTES = _file_layout(CANONICAL_READ_MIN_SIZE)[2]
 
 
 class _TextTemplate:
@@ -599,14 +620,11 @@ class _TextTemplate:
     def __init__(self, ground: GroundSet, form: str):
         encode = _csv_cell if form == "csv" else encode_basestring_ascii
         self.cells = list(map(encode, ground.options))
-        if form == "json":
-            head = _FILE_OPEN + ",\n    ".join(self.cells) + _FILE_CHOICES
-            sep, colon, tail = ",\n    ", ": ", "\n  }\n}\n"
-        elif form == "line":
-            head = '{"options": [' + ", ".join(self.cells) + '], "choices": {'
-            sep, colon, tail = ", ", ": ", "}}\n"
-        else:
+        if form == "csv":
             head, sep, colon, tail = "menu,choice\n", "\n", ",", "\n"
+        else:
+            start, between, choices, sep, colon, tail = _FILE_FORM if form == "json" else _LINE_FORM
+            head = start + between.join(self.cells) + choices
         keys = map(encode, ground.menu_keys[1:])
         self.constants = [head + next(keys) + colon, *(sep + key + colon for key in keys), tail]
 
@@ -631,6 +649,8 @@ class _TextTemplate:
         (an encoded label is a prefix of no other), so every label it
         splits has a byte there; the other states pass any byte.
         ``picks[state]`` is the option of a final state, -1 for the others.
+        Looking each line's cell up in a dict instead makes a parse at
+        n = 12 about four times slower.
         """
         cells = [cell.encode("ascii") for cell in self.cells]
         offsets, tables, states, count = [], [], [0] * len(cells), 1
@@ -679,42 +699,52 @@ def _read_canonical(text: bytes | str) -> ChoiceFunction | None:
     """The function whose file ``text`` is, when ``text`` is byte for byte
     what ``serialize_choice_function`` writes for it; else None.
 
-    The options come from the file's head, the label cells from the line
-    breaks: each entry holds one line, and neither an encoded key nor an
-    encoded label holds a line break.  A few bytes of each cell name its
-    option (``_TextTemplate.cell_reader``).  The text of the table so read
-    must then equal ``text``, and ``ChoiceFunction`` checks membership;
-    whatever fails returns None, for the ``json.loads`` path to report.
-    Ground sets below ``CANONICAL_READ_MIN_SIZE`` options are left to that
-    path, which is faster there.
+    The options come from the file's head.  Before the ground set and its
+    template are built, ``text`` must hold at least as many bytes and as
+    many line breaks as the file form on that many options
+    (``_file_layout``), so a short or cut file builds no 2^n table.  Each
+    entry then holds one line, its label cell ``cell_offsets`` bytes after
+    the line break before it: neither an encoded key nor an encoded label
+    holds a line break.  A few bytes of each cell name its option
+    (``_TextTemplate.cell_reader``).  The text of the table so read must
+    equal ``text``, and ``ChoiceFunction`` checks membership; whatever
+    fails returns None, for the ``json.loads`` path to report.  Ground
+    sets below ``CANONICAL_READ_MIN_SIZE`` options are left to that path,
+    which is faster there.
     """
-    # Each of the 2^n - 1 entries takes at least 13 bytes.
-    if len(text) < 13 * ((1 << CANONICAL_READ_MIN_SIZE) - 1):
+    if len(text) < _CANONICAL_READ_MIN_BYTES:
         return None
+    start, _, choices = _FILE_FORM[:3]
     if isinstance(text, str):
-        if not (text.startswith(_FILE_OPEN) and text.isascii()):
+        if not (text.startswith(start) and text.isascii()):
             return None
         text = text.encode("ascii")
-    elif not text.startswith(_FILE_OPEN.encode()):
+    elif not text.startswith(start.encode()):
         return None
-    end = text.find(_FILE_CHOICES.encode())
+    end = text.find(choices.encode())
     if end < 0:
         return None
     try:
-        options = json.loads(b"[" + text[len(_FILE_OPEN):end] + b"]")
-        n = len(options)
-        if not CANONICAL_READ_MIN_SIZE <= n <= MAX_GROUND_SIZE:
-            return None
-        ground = _parsed_ground(_labels(options, "'options'"))
+        options = _labels(json.loads(b"[" + text[len(start):end] + b"]"), "'options'")
     except (ValueError, RecursionError, ChoiceModelError):  # ValueError: bad JSON or UTF-8
         return None
-    template = ground.text_template("json")
+    n = len(options)
+    if not CANONICAL_READ_MIN_SIZE <= n <= MAX_GROUND_SIZE:
+        return None
+    count, first, least = _file_layout(n)
+    if len(text) < least:
+        return None
     buf = np.frombuffer(text, np.uint8)
     breaks = np.flatnonzero(buf == 10)
-    if len(breaks) != (1 << n) + n + 5:
+    if len(breaks) != count:
         return None
+    try:
+        ground = _parsed_ground(options)
+    except ChoiceModelError:
+        return None
+    template = ground.text_template("json")
     # The line break before each entry; a cell starts a key's width later.
-    starts = breaks[n + 3:-3] + template.cell_offsets
+    starts = breaks[first - 1:first - 1 + ground.full_mask] + template.cell_offsets
     offsets, tables, picks = template.cell_reader
     state = np.zeros(len(starts), np.intp)
     for offset, table in zip(offsets, tables):

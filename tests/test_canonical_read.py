@@ -147,6 +147,30 @@ def test_template_reader_leaves_small_ground_sets_to_json():
         assert parse_choice_function(serialize_choice_function(cf)) == cf
 
 
+def test_short_file_on_many_options_builds_no_table():
+    """A file of about 1 KB that starts as the writer's does on 20 options,
+    with an entry for each one-option menu, cut off or closed, fails as on
+    the json path without building the 2^20 key table or the template of
+    its ground set."""
+    options = [f"option-{i:02d}" for i in range(20)]
+    head = ('{\n  "options": [\n    ' + ",\n    ".join(map(json.dumps, options))
+            + '\n  ],\n  "choices": {\n    ')
+    cut = head + ",\n    ".join(f'"{o}": "{o}"' for o in options)
+    closed = cut + "\n  }\n}\n"
+    assert len(cut) > 900
+    core._parsed_ground.cache_clear()
+    assert _outcome(parse_choice_function, cut)[0] is MalformedKeyError
+    assert _outcome(parse_choice_function, cut) == _outcome(reference_parse_choice_function, cut)
+    assert core._parsed_ground.cache_info().currsize == 0
+    assert _outcome(parse_choice_function, closed) == (
+        MissingMenuError, "menu 'option-00,option-01' has no entry")
+    assert _outcome(parse_choice_function, closed) == _outcome(reference_parse_choice_function, closed)
+    ground = core._parsed_ground(tuple(options))
+    assert core._parsed_ground.cache_info().currsize == 1
+    assert "menu_keys" not in ground.__dict__
+    assert "_text_templates" not in ground.__dict__
+
+
 def _entry(ground: GroundSet, mask: int, label: str, last: bool) -> str:
     cells = map(json.encoder.encode_basestring_ascii, (ground.menu_keys[mask], label))
     return "    " + ": ".join(cells) + ("" if last else ",")
