@@ -161,7 +161,7 @@ def cmd_reveal(args: argparse.Namespace) -> int:
     if args.cross_check:
         doc = report.to_dict()
         doc["definition_cross_check"] = {
-            k: [list(p) for p in v] for k, v in reaction_crosscheck(cf).items()
+            k: [list(p) for p in v] for k, v in reaction_crosscheck(cf, report).items()
         }
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:

@@ -38,12 +38,14 @@ passes run on it: ``choice_from_order`` here,
 ``revealed.single_deletion_switches``, ``structure.evaluate``,
 ``normative.bernheim_rangel_pstar`` and the Expansion gate and scan.  Reshaping a
 table to ``(-1, 2, 1 << y)`` pairs every menu without option y (``[:, 0]``)
-with the same menu plus y (``[:, 1]``).  The pair and triple readers
-(``revealed.reveal_binary`` and ``reveal_reaction``; NRS, IR and SPR in
-``axioms``) read ``beats``, pairwise choice as n bitmask rows built once
-from the n(n-1)/2 pair menus in O(n^2), and look a triple up with
-``table.item``; none of them touches the rest of the table.  ``choices``,
-the picks as a tuple of ints, is read by no module here.
+with the same menu plus y (``[:, 1]``).  The pair readers
+(``revealed.reveal_binary``; NRS, IR and SPR in ``axioms``) read
+``beats``, pairwise choice as n bitmask rows built once from the n(n-1)/2
+pair menus in O(n^2).  The triple reader, ``revealed.reveal_reaction``,
+reads the C(n, 3) triple menus with one ``table.take`` over a mask array
+cached per n and visits each triple once, testing its unchosen options
+against ``beats``.  None of them touches the rest of the table.
+``choices``, the picks as a tuple of ints, is read by no module here.
 """
 
 from __future__ import annotations

@@ -9,20 +9,25 @@ Three objects are extracted from choice data:
 * subjective similarity: the equivalence closure of reaction connectivity,
   whose classes are the revealed types.
 
+``reveal_reaction`` reads the choices from the C(n, 3) triple menus of
+``ChoiceFunction.table``, the stored int8 choice table, with one
+``take`` over a mask array cached per n, and visits each triple once,
+testing its two unchosen options against ``ChoiceFunction.beats``.
 ``single_deletion_switches`` reads every choice reversal caused by removing
-one option off ``ChoiceFunction.table``, the stored int8 choice table, in
-one numpy pass per removed option; ``reaction_crosscheck`` and
-``normative.masatlioglu_pr`` take its rows.
+one option off the table in one numpy pass per removed option;
+``reaction_crosscheck`` and ``normative.masatlioglu_pr`` take its rows.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
-from .core import ChoiceFunction, GroundSet, TypePartition, iter_bits
+from .core import MAX_GROUND_SIZE, ChoiceFunction, GroundSet, TypePartition, iter_bits
 
 
 @dataclass(frozen=True)
@@ -102,29 +107,43 @@ def reveal_binary(cf: ChoiceFunction) -> BinaryRelation:
     return BinaryRelation(cf.ground, cf.beats)
 
 
+@lru_cache(maxsize=MAX_GROUND_SIZE + 1)
+def _triples(n: int) -> tuple[np.ndarray, tuple[tuple[int, int, int], ...]]:
+    """The C(n, 3) triple menus on n options, as masks and as member
+    positions, in ``itertools.combinations`` order.  In that order the
+    triples that hold a given pair come in increasing order of their third
+    member."""
+    members = tuple(combinations(range(n), 3))
+    masks = np.array([(1 << a) | (1 << b) | (1 << c) for a, b, c in members], dtype=np.int64)
+    masks.flags.writeable = False
+    return masks, members
+
+
 def reveal_reaction(cf: ChoiceFunction) -> tuple[BinaryRelation, dict[tuple[str, str], str]]:
     """Reaction relation with one witness per pair.
 
-    Scans all ordered pairs (x, y) and the third options z with x = c{x,z}
-    (bits of ``beats[x]``), reading only the triple menu; the recorded
-    witness is the qualifying z with the smallest ground-set position.
+    Reads the choices from all C(n, 3) triple menus with one ``table.take``
+    and visits each triple once: with z chosen from {x, y, z}, x reacts to
+    the absence of y when x = c{x,z} (bit z of ``beats[x]``), and y to the
+    absence of x when bit z of ``beats[y]`` is set.  Triples come in
+    ``_triples`` order, so the first witness found for a pair is the
+    qualifying z with the smallest ground-set position, the one recorded.
     """
     ground = cf.ground
-    n = ground.size
-    beats, item = cf.beats, cf.table.item
+    n, beats = ground.size, cf.beats
+    masks, members = _triples(n)
+    found: dict[tuple[int, int], int] = {}
+    for (a, b, c), z in zip(members, cf.table.take(masks).tolist()):
+        x, y = (b, c) if z == a else (a, c) if z == b else (a, b)
+        if beats[x] >> z & 1:
+            found.setdefault((x, y), z)
+        if beats[y] >> z & 1:
+            found.setdefault((y, x), z)
     rows = [0] * n
     witness: dict[tuple[str, str], str] = {}
-    for x in range(n):
-        for y in range(n):
-            third = beats[x] & ~(1 << y)
-            if x == y or not third:
-                continue
-            pair_xy = (1 << x) | (1 << y)
-            for z in range(n):
-                if (third >> z) & 1 and item(pair_xy | 1 << z) == z:
-                    rows[x] |= 1 << y
-                    witness[(ground.options[x], ground.options[y])] = ground.options[z]
-                    break
+    for (x, y), z in sorted(found.items()):
+        rows[x] |= 1 << y
+        witness[(ground.options[x], ground.options[y])] = ground.options[z]
     return BinaryRelation(ground, tuple(rows), strict=True), witness
 
 
@@ -149,20 +168,26 @@ def single_deletion_switches(cf: ChoiceFunction) -> tuple[tuple[int, ...], tuple
     return tuple(before.tolist()), tuple(after.tolist())
 
 
-def reaction_crosscheck(cf: ChoiceFunction) -> dict[str, list[tuple[str, str]]]:
+def reaction_crosscheck(
+    cf: ChoiceFunction, report: RevealedReport | None = None
+) -> dict[str, list[tuple[str, str]]]:
     """Discrepancies between the triple-based and arbitrary-menu reaction.
 
     Under the arbitrary-menu definition x reacts to the absence of y iff
     some menu A satisfies ``x = c(A \\ {y}) != c(A) != y``: the ``after``
-    rows of ``single_deletion_switches``, 2^n menus instead of n^3 triples.
-    Returns pairs present only under one definition; both lists empty means
-    the two definitions coincide on this function.
+    rows of ``single_deletion_switches``, 2^n menus instead of the C(n, 3)
+    triples.  The triple-based relation is ``report.reaction`` when a
+    report of ``cf`` is given, else it is revealed here.  Returns pairs
+    present only under one definition; both lists empty means the two
+    definitions coincide on this function.
     """
-    triple, _ = reveal_reaction(cf)
+    triple = report.reaction if report is not None else reveal_reaction(cf)[0]
     menus = BinaryRelation(cf.ground, single_deletion_switches(cf)[1], strict=True)
-    only_triple = sorted(set(triple.pairs()) - set(menus.pairs()))
-    only_menu = sorted(set(menus.pairs()) - set(triple.pairs()))
-    return {"only_in_triple_scan": only_triple, "only_in_menu_scan": only_menu}
+    triple_pairs, menu_pairs = set(triple.pairs()), set(menus.pairs())
+    return {
+        "only_in_triple_scan": sorted(triple_pairs - menu_pairs),
+        "only_in_menu_scan": sorted(menu_pairs - triple_pairs),
+    }
 
 
 def similarity_classes(reaction: BinaryRelation) -> TypePartition:

@@ -43,6 +43,17 @@ def mixed_choice_function(rng: random.Random, ground: GroundSet, kind: int) -> C
     return ChoiceFunction(ground, table)
 
 
+def noisy_choice_function(rng: random.Random, ground: GroundSet) -> ChoiceFunction:
+    """The choice of a random single-peaked structure with 1 % of its menus
+    of two or more options given another member as choice."""
+    table = evaluate(random_single_peaked_structure(rng, ground)).table.tolist()
+    menus = [m for m in range(1, 1 << ground.size) if m & (m - 1)]
+    for mask in rng.sample(menus, round(0.01 * len(menus))):
+        others = [i for i in range(ground.size) if mask >> i & 1 and i != table[mask]]
+        table[mask] = rng.choice(others)
+    return ChoiceFunction(ground, table)
+
+
 def reextended(structure: RSStructure, rng: random.Random) -> RSStructure:
     """``structure`` with the same types and reaction order and a welfare
     order that is a random linear extension of its within-type welfare

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rschoice import cli
+from rschoice import cli, revealed
 from rschoice.cli import MAX_SWEEP_POINTS, main
 from rschoice.core import (
     GroundSet,
@@ -92,6 +93,16 @@ def test_reveal_cross_check(capsys, detergent_file):
         "only_in_triple_scan": [],
         "only_in_menu_scan": [],
     }
+
+
+def test_reveal_cross_check_reveals_reactions_once(capsys, monkeypatch):
+    calls, scan = [], revealed.reveal_reaction
+    monkeypatch.setattr(revealed, "reveal_reaction", lambda cf: calls.append(cf) or scan(cf))
+    noisy10 = str(Path(__file__).resolve().parent / "golden" / "noisy10.json")
+    for _ in range(2):
+        code, out, _ = run(capsys, "reveal", noisy10, "--cross-check")
+        assert code == 0 and json.loads(out)["reaction"]
+    assert len(calls) == 2
 
 
 def test_welfare_subcommand(capsys, detergent_file):

@@ -8,9 +8,14 @@ the message names first (SPR before Exp, NRS and IR).
 The choice-function commands run on every choice file in ``fixtures/`` and on
 ``tests/golden/random7.json``, a uniformly random 7-option function (one
 member drawn per menu with ``random.Random(7)``) whose Exp and IIA lists are
-long enough to be cut at the default cap.  The numpy-based consistency
-report of ``simulate-culture --consistency-grid`` is left out, so that numpy
-versions cannot flip its last bits.
+long enough to be cut at the default cap.  ``check-axioms``, ``reveal
+--cross-check`` and ``synthesize`` also run on ``tests/golden/noisy10.json``,
+a 10-option function at a realistic size: the choice of a random
+single-peaked structure with 1 % of its menus given another member
+(``conftest.noisy_choice_function`` with ``random.Random(19)``), which
+reveals 19 reactions and fails Exp, NRS, SPR and IIA.  The numpy-based
+consistency report of ``simulate-culture --consistency-grid`` is left out,
+so that numpy versions cannot flip its last bits.
 
 Regenerate after an intended output change with::
 
@@ -63,6 +68,11 @@ def _cases() -> dict[str, list[str]]:
             "--lambda-range", "0.55:0.7:4", "--p-range", "0.3:0.49:20",
         ]
         for menu in ("M", "N")
+    })
+    cases.update({
+        f"{cmd}.noisy10": [args[0], "tests/golden/noisy10.json", *args[1:]]
+        for cmd, args in CHOICE_COMMANDS.items()
+        if cmd in ("check-axioms", "reveal-cross-check", "synthesize")
     })
     cases.update({
         "freedom.worked_structure": ["freedom", "fixtures/worked_structure.json"],

@@ -2,9 +2,10 @@
 NRS, IR and SPR) against reference scans kept here, which index every pair
 and triple menu in a tuple of the whole table.
 
-The library readers test bits of the ``beats`` rows instead, so they must
-list the same witnesses in the same order, for every cap, under the
-revealed classes and under arbitrary partitions.
+The library readers test bits of the ``beats`` rows instead, and the
+reaction scan visits each triple menu once, so they must list the same
+witnesses in the same order, for every cap, under the revealed classes and
+under arbitrary partitions.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ import pytest
 from rschoice.axioms import check_exp, check_ir, check_nrs, check_spr
 from rschoice.core import GroundSet, TypePartition, enumerate_choice_functions
 from rschoice.generators import ground_of_size, random_partition, random_single_peaked_structure
-from rschoice.revealed import reveal
+from rschoice.revealed import reveal, reveal_reaction
 from rschoice.structure import evaluate, minimal_structure, synthesize_rs
 
-from conftest import mixed_choice_function
+from conftest import mixed_choice_function, noisy_choice_function
 
 
 def beats_reference(cf) -> list[int]:
@@ -154,6 +155,29 @@ def test_pair_readers_match_the_references_on_mixed_input(rng, size):
         cf = mixed_choice_function(rng, ground, k % 3)
         caps = (0, 1, 2, 5, rng.randrange(40))
         witnesses += _assert_readers_match(cf, random_partition(rng, ground), caps)
+    assert witnesses > 0
+
+
+def _assert_reaction_matches(cf) -> int:
+    """Rows and witnesses, in insertion order, of the reaction scan against
+    ``reaction_reference``; returns the number of witnesses."""
+    rows, witness = reaction_reference(cf)
+    reaction, found = reveal_reaction(cf)
+    assert list(reaction.rows) == rows
+    assert list(found.items()) == list(witness.items())
+    return len(witness)
+
+
+@pytest.mark.parametrize("size", (2, 3))
+def test_reaction_scan_matches_the_reference_with_at_most_one_triple(size):
+    witnesses = sum(map(_assert_reaction_matches, enumerate_choice_functions(ground_of_size(size))))
+    assert (witnesses > 0) == (size == 3)
+
+
+@pytest.mark.parametrize("size", range(10, 14))
+def test_reaction_scan_matches_the_reference_on_noisy_input(rng, size):
+    ground = ground_of_size(size)
+    witnesses = sum(_assert_reaction_matches(noisy_choice_function(rng, ground)) for _ in range(6))
     assert witnesses > 0
 
 

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
-from rschoice.core import GroundSet, LinearOrder, choice_from_order, iter_bits
+import pytest
+
+from rschoice.core import GroundSet, LinearOrder, choice_from_order, iter_bits, parse_choice_function
 from rschoice.axioms import check_exp, tsm_choice, tsm_fixture_nrs_violation
 from rschoice.fixtures import detergent_choice
 from rschoice.generators import ground_of_size, random_structure
@@ -116,6 +119,19 @@ def test_triple_and_menu_definitions_agree_on_structures(rng):
         gaps = reaction_crosscheck(evaluate(s))
         assert gaps["only_in_triple_scan"] == []
         assert gaps["only_in_menu_scan"] == []
+
+
+GOLDEN_INPUTS = [
+    "fixtures/detergent.json", "fixtures/detergent.csv", "fixtures/tsm1.json",
+    "fixtures/tsm2.json", "tests/golden/random7.json", "tests/golden/noisy10.json",
+]
+
+
+@pytest.mark.parametrize("name", GOLDEN_INPUTS)
+def test_crosscheck_with_a_report_equals_crosscheck_without(name):
+    path = Path(__file__).resolve().parent.parent / name
+    cf = parse_choice_function(path.read_bytes(), path.suffix[1:])
+    assert reaction_crosscheck(cf, reveal(cf)) == reaction_crosscheck(cf)
 
 
 def test_report_serializes():
