@@ -14,12 +14,21 @@ the menu contains an option strictly above the type threshold.  Menus are
 ranked by the number of satisfied freedoms; the ranking is characterized
 by a dominance and a composition axiom, both decided exactly with
 witnesses, within the work budget ``MAX_COMPOSITION_WORK``.
+
+The freedom layer works on whole subset lattices in numpy.  The satisfaction
+signature (an int32 bitmask of satisfied types per menu) and the freedom
+scores (int8) are each filled in one doubling pass over the options, the
+upper half of the lattice from the lower half.  ``MenuPreference`` keeps its
+scores as one read-only array, which ``check_menu_axioms`` ranks directly.
+The composition gate's tables come from one sort per block of (M, X) menu
+pairs, and its open pairs from one broadcast comparison per block of rows.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -31,18 +40,26 @@ from .axioms import (
     _subset_zeta,
     _verdict,
 )
-from .core import ChoiceFunction, ChoiceModelError, GroundSet
+from .core import ChoiceFunction, ChoiceModelError, GroundSet, iter_bits
 from .revealed import BinaryRelation, single_deletion_switches
 from .structure import RSStructure, SinglePeakedCertificate, certify_single_peaked, minimal_structure
 
 
 #: Largest composition gate ``check_menu_axioms`` runs, counted as
 #: W * (2^n + W * V) for W within-type menus, n options and V distinct
-#: scores.  One type scored by the freedom ranking (V = 2) costs 5.0 * 10^7
-#: at 12 options (0.4 s, 30 MB peak), 2.0 * 10^8 at 13 (1.5 s, 31 MB) and
-#: 8.1 * 10^8 at 14 (5.4 s, 32 MB); four types of 5 options cost 1.3 * 10^8
-#: (0.9 s, 96 MB).  Python 3.11, numpy 2.4, one core of a shared machine.
+#: scores.  Scored by the freedom ranking, one type costs 5.0 * 10^7 at 12
+#: options (0.02 s), 2.0 * 10^8 at 13 (0.05 s, 31 MB peak) and 8.1 * 10^8
+#: at 14 (0.18 s, 32 MB); four types of 5 options cost 1.3 * 10^8 (0.2 s,
+#: 59 MB) and 22 one-option types 9.2 * 10^7 (1.2 s, 146 MB, most of it
+#: ranking the 2^22 scores), the most time per unit: one-option types
+#: leave the gate 2^(n-1) cells each.  Python 3.11, numpy 2.4, one core of
+#: a shared machine.
 MAX_COMPOSITION_WORK = 300_000_000
+
+#: Cells one block of the composition gate holds: (M, X) cells while the
+#: tables fill, (C, D, rank) cells while open pairs are picked.  Blocks
+#: keep the gate's temporaries near this size, not growing with W or 2^n.
+_BLOCK_CELLS = 1 << 15
 
 
 class NotSinglePeakedRSCError(ChoiceModelError):
@@ -268,49 +285,88 @@ def is_richer(model: FreedomModel, menu_a, menu_b) -> str:
     return "richer" if b_richer else "strictly_richer"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MenuPreference:
     """Complete transitive ranking of all nonempty menus.
 
     ``scores[mask]`` is the rank value of that menu, any real number;
     higher means more preferred, equal means indifferent.  Entry 0 is
-    unused.
+    unused.  The constructor takes the 2^n scores as a sequence or an
+    array and keeps a read-only array copy of a signed or float dtype, so
+    that ``scores[mask] + delta`` cannot wrap below zero.  Two preferences
+    are equal when their grounds and score values are.
     """
 
     ground: GroundSet
-    scores: tuple[float, ...]
+    scores: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "scores", tuple(self.scores))
-        if len(self.scores) != (1 << self.ground.size):
+        scores = np.array(self.scores)
+        if scores.shape != (1 << self.ground.size,):
             raise ValueError("scores must cover every menu mask")
+        scores = scores.astype(np.promote_types(scores.dtype, np.int8), copy=False)
+        scores.flags.writeable = False
+        object.__setattr__(self, "scores", scores)
+
+    def __eq__(self, other):
+        if not isinstance(other, MenuPreference):
+            return NotImplemented
+        return self.ground == other.ground and bool(np.array_equal(self.scores, other.scores))
+
+    def __hash__(self):
+        return hash((self.ground, tuple(self.scores.tolist())))
 
     def prefers(self, menu_a, menu_b) -> bool:
         """Weakly prefers A to B."""
-        return (
+        return bool(
             self.scores[_as_mask(self.ground, menu_a)]
             >= self.scores[_as_mask(self.ground, menu_b)]
         )
 
 
+def _type_bits(model: FreedomModel) -> list[int]:
+    """``bits[i]`` is 1 << t when option i lies in the satisfied set of type
+    t, and 0 when it lies in no satisfied set."""
+    bits = [0] * model.ground.size
+    for t, f in enumerate(model.satisfied_masks()):
+        for i in iter_bits(f):
+            bits[i] = 1 << t
+    return bits
+
+
 def freedom_ranking(model: FreedomModel) -> MenuPreference:
-    """Menus ranked by the number of satisfied freedoms, the set bits of
-    the menu's satisfaction signature."""
-    sig = _satisfaction_signature(model)
-    scores = np.zeros_like(sig)
-    for t in range(len(model.structure.types.blocks)):
-        scores += (sig >> t) & 1
-    return MenuPreference(model.ground, tuple(scores.tolist()))
+    """Menus ranked by the number of satisfied freedoms, as ``np.int8``.
+
+    One doubling pass over the options fills the scores: the types are
+    disjoint, so score[M | {i}] = score[M] + 1 when i lies in its type's
+    satisfied set f and M misses f, and score[M] otherwise.  Over the
+    menus M below option i, the ones missing the members of f below i form
+    a subcube (those bits 0, the others free), so the + 1 is one strided
+    add on a (2,) * i view.  O(2^n) time in 2^n bytes.
+    """
+    n = model.ground.size
+    scores = np.zeros(1 << n, dtype=np.int8)
+    below: dict[int, int] = {}  # type bit -> members of its satisfied set below i
+    for i, bit in enumerate(_type_bits(model)):
+        high = scores[1 << i:2 << i]
+        high[...] = scores[:1 << i]
+        if bit:
+            f = below.get(bit, 0)
+            # axis a of the view is option i - 1 - a
+            cube = tuple(0 if f >> (i - 1 - a) & 1 else slice(None) for a in range(i))
+            high.reshape((2,) * i)[cube] += 1
+            below[bit] = f | 1 << i
+    return MenuPreference(model.ground, scores)
 
 
 def _satisfaction_signature(model: FreedomModel) -> np.ndarray:
-    """sig[mask] = bitmask over types whose satisfied set meets the menu."""
-    ground = model.ground
-    size = 1 << ground.size
-    sig = np.zeros(size, dtype=np.int64)
-    masks = np.arange(size, dtype=np.int64)
-    for t, f in enumerate(model.satisfied_masks()):
-        sig |= ((masks & f) != 0).astype(np.int64) << t
+    """sig[mask] = bitmask over types whose satisfied set meets the menu, as
+    ``np.int32`` (at most 24 types), filled in one doubling pass over the
+    options: sig[M | {i}] = sig[M] | bits[i] for the menus M below i."""
+    bits = _type_bits(model)
+    sig = np.zeros(1 << len(bits), dtype=np.int32)
+    for i, bit in enumerate(bits):
+        np.bitwise_or(sig[:1 << i], bit, out=sig[1 << i:2 << i])
     return sig
 
 
@@ -332,16 +388,21 @@ def check_menu_axioms(
     witness, and only those are scanned, in the order of an ungated scan,
     so the witness lists are the same.  ``pref`` may be any ranking; both
     checks rank its scores as given, and the gates never assume that a
-    menu's score is a function of its signature.  On a ranking that
-    satisfies both axioms the cost is O(2^n + k 2^k) for dominance with k
-    types and O(W 2^n + W^2 V) time in O(W V) memory for composition with
-    W within-type menus and V distinct scores; each violating menu or pair
-    adds its O(2^n) or O(4^n) scan.  A composition gate W * (2^n + W * V)
-    over ``MAX_COMPOSITION_WORK`` raises ``CompositionBudgetError`` once
-    the scores are ranked, before either check starts.
+    menu's score is a function of its signature.  The signature is built
+    once, in int32, and the scores are read from ``pref.scores`` as they
+    are.  On a ranking that satisfies both axioms the cost is
+    O(2^n + k 2^k) for dominance with k types, and for composition
+    O(K log K + W V) time in O(W V) memory, with W within-type menus, V
+    distinct scores and K = sum over types T of (3^|T| - 2^|T|) 2^(n - |T|)
+    menu pairs (M, X) with M within T and X disjoint from M, at most
+    W 2^n / 2.  Each violating menu adds its O(2^n) scan, each C with an
+    open D an O(W V) row and each open pair its O(4^n) scan.  A
+    composition gate W * (2^n + W * V) over ``MAX_COMPOSITION_WORK``
+    raises ``CompositionBudgetError`` once the scores are ranked, before
+    either check starts.
     """
     ground = model.ground
-    rank = np.unique(np.asarray(pref.scores), return_inverse=True)[1]
+    rank = np.unique(pref.scores, return_inverse=True)[1]
     within_count = sum((1 << len(block)) - 1 for block in model.structure.types.blocks)
     work = within_count * ((1 << ground.size) + within_count * (int(rank.max()) + 1))
     if work > MAX_COMPOSITION_WORK:
@@ -419,10 +480,7 @@ def _composition_witnesses(model: FreedomModel, sig: np.ndarray,
     """
     ground = model.ground
     masks = np.arange(1 << ground.size, dtype=np.int64)
-    within = sorted(
-        sub for tmask in model.structure.types.block_masks() for sub in _submasks(tmask)
-    )
-    for c, d in _composition_open_pairs(within, masks, sig, rank):
+    for c, d in _composition_open_pairs(model.structure.types.block_masks(), sig, rank):
         a_ok = ((masks & c) == 0) & ((sig[c] & ~sig) != 0)  # disjoint, not richer than C
         a_ok[0] = False
         b_idx = np.flatnonzero((masks & d) == 0)[1:]  # nonempty, disjoint from D
@@ -433,39 +491,152 @@ def _composition_witnesses(model: FreedomModel, sig: np.ndarray,
                        ground.menu_key(c), ground.menu_key(d))
 
 
-def _composition_open_pairs(within: list[int], masks: np.ndarray, sig: np.ndarray,
+def _composition_open_pairs(type_masks: tuple[int, ...], sig: np.ndarray,
                             rank: np.ndarray) -> Iterator[tuple[int, int]]:
     """Within-type pairs (C, D), ascending in C and then in D, with
     rank[D] <= rank[C] and some (A, B) that breaks composition.
 
-    Per within-type menu M = within[i], over score ranks v:
+    A witness for (C, D) has rank(B) <= rank(A) = v and B | D above A | C,
+    so one exists iff best[j, v] > lo[i, v] for some v, with the tables of
+    ``_composition_tables``.  The rows of C with some open D come first,
+    in O(W V) for W menus and V distinct ranks: their lo row falls below
+    the best rows, maximized over every D ranked at most C, somewhere.
+    One broadcast comparison per block of those rows, of at most
+    ``_BLOCK_CELLS`` cells, then picks their open D: O(W V) per open row.
+    """
+    within, lo, best = _composition_tables(type_masks, sig, rank)
+    within_rank = rank[within].astype(lo.dtype)
+    order = np.argsort(within_rank, kind="stable")
+    last_at_most = np.searchsorted(within_rank[order], within_rank, side="right") - 1
+    reach = np.maximum.accumulate(best[order], axis=0)[last_at_most]
+    open_rows = np.flatnonzero((reach > lo).any(axis=1))
+    # rank-major copies: the test over v is an OR of V contiguous slabs
+    lo, best = np.ascontiguousarray(lo.T), np.ascontiguousarray(best.T)
+    step = max(1, _BLOCK_CELLS // best.size)
+    for start in range(0, len(open_rows), step):
+        rows = open_rows[start:start + step]
+        open_pairs = (best[:, None, :] > lo[:, rows, None]).any(axis=0)
+        open_pairs &= within_rank <= within_rank[rows, None]
+        for i, j in zip(*np.nonzero(open_pairs)):
+            yield within[rows[i]], within[j]
+
+
+def _composition_tables(type_masks: tuple[int, ...], sig: np.ndarray,
+                        rank: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The within-type menus, ascending, and two tables over them.  Per
+    within-type menu M = within[i], over score ranks v:
 
     * lo[i, v], the lowest rank of A | M over nonempty A disjoint from M,
       not richer than M, with rank v (V, past every rank, where none);
     * best[i, v], the highest rank of B | M over nonempty B disjoint from
       M with rank at most v (-1 where none).
 
-    A witness for (C, D) has rank(B) <= rank(A) = v and B | D above A | C,
-    so one exists iff best[j, v] > lo[i, v] for some v.  The tables take
-    O(W 2^n) time and O(W V) memory for W menus and V distinct ranks; then
-    one O(W V) row per C picks its open D.
+    For M within type T, a menu X disjoint from M splits into a part of
+    T \\ M and a part outside T.  With the lattice reordered so that the options of T
+    come first, row u holds the menus whose part in T is the u-th subset
+    of T, the outside part ascending along the row.  So the cells (M, X)
+    of one type are whole rows, u for X and u | M for X | M, one row per
+    pair (M, part of X in T), which ``_ternary_pairs`` lists.  A block of
+    cells, at most ``_BLOCK_CELLS`` of them, is sorted on (row of M, rank
+    of X, rank of X | M), and the first and last cell of each (row, rank
+    of X) run give lo and best; the empty X gets a rank of its own, in a
+    column dropped at the end.  O(K log K) time for the
+    K = sum over types of (3^|T| - 2^|T|) 2^(n - |T|) cells, at most
+    W 2^n / 2; the tables take O(W V) memory for W menus and V distinct
+    ranks.  The sort keys stay below 2^63 on any input inside
+    ``MAX_COMPOSITION_WORK``.
     """
+    n = len(rank).bit_length() - 1
     n_ranks = int(rank.max()) + 1
-    lo = np.full((len(within), n_ranks), n_ranks, dtype=np.int64)
-    best = np.full((len(within), n_ranks), -1, dtype=np.int64)
-    for i, m in enumerate(within):
-        disjoint = (masks & m) == 0
-        disjoint[0] = False
-        a_idx = np.flatnonzero(disjoint & ((sig[m] & ~sig) != 0))
-        np.minimum.at(lo[i], rank[a_idx], rank[a_idx | m])
-        b_idx = np.flatnonzero(disjoint)
-        np.maximum.at(best[i], rank[b_idx], rank[b_idx | m])
+    shift = (n_ranks - 1).bit_length()
+    within = sorted(sub for t in type_masks for sub in _submasks(t))
+    # column n_ranks collects the cells of the empty X; the tables take the
+    # narrowest signed dtype holding -1 and n_ranks
+    narrow = np.min_scalar_type(-n_ranks - 1)
+    lo = np.full((len(within), n_ranks + 1), n_ranks, dtype=narrow)
+    best = np.full((len(within), n_ranks + 1), -1, dtype=narrow)
+    # one-byte ranks where they fit: the row gathers stay in cache
+    rank = rank.astype(np.min_scalar_type(n_ranks))
+    rank[0] = n_ranks
+    key_type = np.min_scalar_type(len(within) * (n_ranks + 1) << shift)
+    within_arr = np.array(within)
+    pending: list[tuple[np.ndarray, np.ndarray]] = []  # (best keys, lo keys) per block
+    cells = 0
+    for t in type_masks:
+        size = bin(t).count("1")
+        inside = [n - 1 - b for b in iter_bits(t)]  # cube axis a is option n - 1 - a
+        axes = sorted(inside) + sorted(set(range(n)) - set(inside))
+        ranks = rank.reshape((2,) * n).transpose(axes).reshape(1 << size, -1)
+        # row u of ranks is the u-th subset of T, ascending; for u > 0 that
+        # subset is within[in_t[u - 1]]
+        in_t = np.flatnonzero((within_arr & ~t) == 0)
+        rows = (in_t * (n_ranks + 1)).astype(key_type)
+        sig_u = sig[np.concatenate(([0], within_arr[in_t]))]
+        # a block: every choice for the low options of T, one for the high
+        # ones, over at most _BLOCK_CELLS columns of the outside part
+        width = min(ranks.shape[1], _BLOCK_CELLS)
+        low = 0
+        while low < size and 3 ** (low + 1) * width <= _BLOCK_CELLS:
+            low += 1
+        pair_m, pair_x = _ternary_pairs(max(low, size - low))
+        low_m, low_x = pair_m[:3 ** low], pair_x[:3 ** low]
+        for high in zip(pair_m[:3 ** (size - low)].tolist(), pair_x[:3 ** (size - low)].tolist()):
+            m, x = low_m | high[0] << low, low_x | high[1] << low
+            if not high[0]:
+                m, x = m[m != 0], x[m != 0]
+            if not m.size:
+                continue
+            # A is not richer than M when it misses a type M satisfies: sig[M]
+            # is 0 or the bit of T, and the part of A outside T sets no bit
+            # of T, so the part in T, x, decides
+            a = (sig_u[x] & sig_u[m]) != sig_u[m]
+            for col in range(0, ranks.shape[1], width):
+                cols = slice(col, col + width)
+                key = (rows[m - 1, None] + ranks[x, cols]) << shift | ranks[x | m, cols]
+                pending.append((key.ravel(), key[a].ravel()))
+                cells += key.size
+                if cells >= _BLOCK_CELLS:
+                    _fold_runs(best, lo, pending, shift)
+                    pending, cells = [], 0
+    _fold_runs(best, lo, pending, shift)
+    best = best[:, :n_ranks]
     np.maximum.accumulate(best, axis=1, out=best)
-    within_rank = rank[within]
-    for i, c in enumerate(within):
-        row = (within_rank <= within_rank[i]) & (best > lo[i]).any(axis=1)
-        for j in np.flatnonzero(row):
-            yield c, within[j]
+    return within, np.ascontiguousarray(lo[:, :n_ranks]), best
+
+
+@lru_cache(maxsize=8)
+def _ternary_pairs(digits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 3^digits pairs (m, x) of disjoint subsets of range(digits), as
+    two read-only int32 arrays: digit q of a pair's index, in base 3, puts
+    q in neither subset (0), in m (1) or in x (2).  The composition gate
+    asks for at most about ten digits (3^10 pairs, 0.5 MB) inside
+    ``MAX_COMPOSITION_WORK``, so the cache stays small."""
+    m, x = np.zeros(3 ** digits, dtype=np.int32), np.zeros(3 ** digits, dtype=np.int32)
+    for q in range(digits):
+        span = 3 ** q
+        m[span:2 * span], x[span:2 * span] = m[:span] | 1 << q, x[:span]
+        m[2 * span:3 * span], x[2 * span:3 * span] = m[:span], x[:span] | 1 << q
+    m.flags.writeable = x.flags.writeable = False
+    return m, x
+
+
+def _fold_runs(best: np.ndarray, lo: np.ndarray,
+               pending: list[tuple[np.ndarray, np.ndarray]], shift: int) -> None:
+    """Sort the pending keys, (row, rank of X) above ``shift`` and the rank
+    of X | M below it, and fold the last key of each (row, rank) run into
+    ``best`` and the first into ``lo``."""
+    if not pending:
+        return
+    for table, part, last in ((best, 0, True), (lo, 1, False)):
+        keys = np.concatenate([block[part] for block in pending])
+        if not keys.size:
+            continue
+        keys.sort()
+        group = keys >> shift
+        edge = group[1:] != group[:-1]
+        ends = np.flatnonzero(np.concatenate((edge, [True]) if last else ([True], edge)))
+        cells, at = table.reshape(-1), group[ends]
+        cells[at] = (np.maximum if last else np.minimum)(cells[at], keys[ends] & ((1 << shift) - 1))
 
 
 def _submasks(mask: int) -> list[int]:
@@ -478,9 +649,15 @@ def _submasks(mask: int) -> list[int]:
 
 
 def freedom_table_csv(model: FreedomModel) -> str:
-    """CSV of n(A) for every menu, ascending bit pattern."""
-    ground = model.ground
+    """CSV of n(A) for every menu, ascending bit pattern.
+
+    Each row is the menu's key and the cell ",n" (newline included) of
+    its score, looked up in a list of one cell per score value; keys and
+    cells interleave in one object array, joined once.
+    """
     scores = freedom_ranking(model).scores
-    keys = ground.menu_keys
-    lines = ["menu,n"] + [f"{keys[mask]},{scores[mask]}" for mask in range(1, len(keys))]
-    return "\n".join(lines) + "\n"
+    keys = model.ground.menu_keys
+    cells = np.array([f",{v}\n" for v in range(int(scores.max()) + 1)], dtype=object)
+    rows = np.empty(2 * len(keys) - 2, dtype=object)
+    rows[0::2], rows[1::2] = keys[1:], cells[scores[1:]]
+    return "menu,n\n" + "".join(rows.tolist())

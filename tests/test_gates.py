@@ -3,7 +3,9 @@ scans, unit by unit, against ungated reference loops kept here.
 
 Each gate must flag exactly the units (chosen-option families, menus,
 (C, D) pairs) that have a witness, so the gated checkers list the same
-witnesses as the references.
+witnesses as the references.  The freedom layer's doubling passes (the
+satisfaction signature and the freedom scores) and the blocked
+composition tables are also held to the plain loops they replaced.
 """
 
 from __future__ import annotations
@@ -18,13 +20,16 @@ from rschoice.core import (
     enumerate_choice_functions,
 )
 from rschoice.generators import ground_of_size, random_order, random_single_peaked_structure
+import rschoice.normative as normative
 from rschoice.normative import (
     MenuPreference,
     _composition_open_pairs,
+    _composition_tables,
     _dominance_open_menus,
     _satisfaction_signature,
     _submasks,
     check_menu_axioms,
+    freedom_count,
     freedom_model,
     freedom_ranking,
 )
@@ -86,6 +91,57 @@ def composition_reference(model, sig: np.ndarray, scores: np.ndarray) -> list[tu
     return out
 
 
+def signature_reference(model) -> np.ndarray:
+    """One shift-and-or pass over all 2^n menus per type, in int64."""
+    size = 1 << model.ground.size
+    sig = np.zeros(size, dtype=np.int64)
+    masks = np.arange(size, dtype=np.int64)
+    for t, f in enumerate(model.satisfied_masks()):
+        sig |= ((masks & f) != 0).astype(np.int64) << t
+    return sig
+
+
+def ranking_reference(model) -> np.ndarray:
+    """Freedom scores as the set bits of the signature: one shift-and-add
+    pass per type."""
+    sig = signature_reference(model)
+    scores = np.zeros_like(sig)
+    for t in range(len(model.structure.types.blocks)):
+        scores += (sig >> t) & 1
+    return scores
+
+
+def composition_tables_reference(within: list[int], sig: np.ndarray,
+                                 rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lo and best tables of ``_composition_tables``, one row at a time
+    with unbuffered ``ufunc.at`` over the menus disjoint from the row's M."""
+    masks = np.arange(len(rank), dtype=np.int64)
+    n_ranks = int(rank.max()) + 1
+    lo = np.full((len(within), n_ranks), n_ranks, dtype=np.int64)
+    best = np.full((len(within), n_ranks), -1, dtype=np.int64)
+    for i, m in enumerate(within):
+        disjoint = (masks & m) == 0
+        disjoint[0] = False
+        a_idx = np.flatnonzero(disjoint & ((sig[m] & ~sig) != 0))
+        np.minimum.at(lo[i], rank[a_idx], rank[a_idx | m])
+        b_idx = np.flatnonzero(disjoint)
+        np.maximum.at(best[i], rank[b_idx], rank[b_idx | m])
+    np.maximum.accumulate(best, axis=1, out=best)
+    return lo, best
+
+
+def composition_open_pairs_reference(within: list[int], sig: np.ndarray,
+                                     rank: np.ndarray) -> list[tuple[int, int]]:
+    """Open (C, D) pairs from the reference tables, one row of C at a time."""
+    lo, best = composition_tables_reference(within, sig, rank)
+    within_rank = rank[within]
+    out = []
+    for i, c in enumerate(within):
+        row = (within_rank <= within_rank[i]) & (best > lo[i]).any(axis=1)
+        out += [(c, within[j]) for j in np.flatnonzero(row)]
+    return out
+
+
 def test_exp_gate_flags_exactly_the_families_with_witnesses_on_census_4():
     ground = GroundSet(("a", "b", "c", "d"))
     flagged_total = count = 0
@@ -126,11 +182,12 @@ def test_exp_holds_on_a_clean_order_at_14_options(rng):
     assert verdict.holds and verdict.violations == () and not verdict.truncated
 
 
-def _menu_models(rng, count: int):
-    """Random single-peaked freedom models on 2-6 options; even draws are
-    scored by the freedom ranking, odd ones by random menu scores."""
+def _menu_models(rng, count: int, largest: int = 6):
+    """Random single-peaked freedom models on 2 to ``largest`` options; even
+    draws are scored by the freedom ranking, odd ones by random menu scores."""
     for k in range(count):
-        model = freedom_model(random_single_peaked_structure(rng, ground_of_size(2 + k % 5)))
+        size = 2 + k % (largest - 1)
+        model = freedom_model(random_single_peaked_structure(rng, ground_of_size(size)))
         size = 1 << model.ground.size
         if k % 2 == 0:
             yield model, freedom_ranking(model)
@@ -155,9 +212,7 @@ def test_menu_axiom_gates_flag_exactly_the_units_with_witnesses(rng):
 
         comp_ref = composition_reference(model, sig, scores)
         assert composition.violations == tuple(comp_ref)
-        within = sorted(s for t in model.structure.types.block_masks() for s in _submasks(t))
-        masks = np.arange(1 << ground.size, dtype=np.int64)
-        flagged = set(_composition_open_pairs(within, masks, sig, rank))
+        flagged = set(_composition_open_pairs(model.structure.types.block_masks(), sig, rank))
         assert flagged == {(ground.parse_menu_key(w[2]), ground.parse_menu_key(w[3]))
                            for w in comp_ref}
 
@@ -172,3 +227,52 @@ def test_menu_axioms_read_scores_as_given(rng):
     for model, pref in _menu_models(rng, 200):
         scaled = MenuPreference(model.ground, tuple(s * 0.1 + 0.5 for s in pref.scores))
         assert check_menu_axioms(model, scaled) == check_menu_axioms(model, pref)
+
+
+def test_freedom_passes_match_the_reference_loops(rng):
+    """Signature, freedom scores, the composition tables and the open-pair
+    stream, in order, against the loops they replaced, on 2 to 7 options."""
+    compared = 0
+    for model, pref in _menu_models(rng, 120, largest=7):
+        sig = _satisfaction_signature(model)
+        assert sig.dtype == np.int32
+        assert np.array_equal(sig, signature_reference(model))
+        ranking = freedom_ranking(model)
+        assert np.array_equal(ranking.scores, ranking_reference(model))
+        rank = np.unique(pref.scores, return_inverse=True)[1]
+        types = model.structure.types.block_masks()
+        within, lo, best = _composition_tables(types, sig, rank)
+        assert within == sorted(s for t in types for s in _submasks(t))
+        ref_lo, ref_best = composition_tables_reference(within, sig, rank)
+        assert np.array_equal(lo, ref_lo) and np.array_equal(best, ref_best)
+        assert list(_composition_open_pairs(types, sig, rank)) == (
+            composition_open_pairs_reference(within, sig, rank))
+        compared += model.ground.size == 7
+    assert compared > 10
+
+
+def test_composition_blocks_of_few_rows_match_the_reference(rng, monkeypatch):
+    """Blocks of one cell, or of a few hundred, give the same tables and
+    pairs as the references: blocks split pair rows into column slices,
+    fold a row's runs over several sorts and pick open pairs a few rows
+    at a time."""
+    models = list(_menu_models(rng, 40, largest=7))
+    for cells in (1, 200, 1000):
+        monkeypatch.setattr(normative, "_BLOCK_CELLS", cells)
+        for model, pref in models:
+            sig = _satisfaction_signature(model)
+            rank = np.unique(pref.scores, return_inverse=True)[1]
+            types = model.structure.types.block_masks()
+            within, lo, best = _composition_tables(types, sig, rank)
+            ref_lo, ref_best = composition_tables_reference(within, sig, rank)
+            assert np.array_equal(lo, ref_lo) and np.array_equal(best, ref_best)
+            assert list(_composition_open_pairs(types, sig, rank)) == (
+                composition_open_pairs_reference(within, sig, rank))
+
+
+def test_freedom_scores_count_the_satisfied_types_at_16_options(rng):
+    model = freedom_model(random_single_peaked_structure(rng, ground_of_size(16)))
+    scores = freedom_ranking(model).scores
+    assert scores.dtype == np.int8 and len(scores) == 1 << 16
+    for mask in [1, (1 << 16) - 1] + [rng.randrange(1, 1 << 16) for _ in range(2000)]:
+        assert scores[mask] == freedom_count(model, mask)

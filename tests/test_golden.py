@@ -13,7 +13,11 @@ long enough to be cut at the default cap.  ``check-axioms``, ``reveal
 a 10-option function at a realistic size: the choice of a random
 single-peaked structure with 1 % of its menus given another member
 (``conftest.noisy_choice_function`` with ``random.Random(19)``), which
-reveals 19 reactions and fails Exp, NRS, SPR and IIA.  The numpy-based
+reveals 19 reactions and fails Exp, NRS, SPR and IIA.  ``freedom`` also
+runs on ``tests/golden/structure10.json``, a 10-option structure with three
+types of 5, 2 and 3 options whose satisfied sets are all nonempty
+(``random_single_peaked_structure(random.Random(51), ground_of_size(10))``),
+so its 1 023 rows hold every count from 0 to 3.  The numpy-based
 consistency report of ``simulate-culture --consistency-grid`` is left out,
 so that numpy versions cannot flip its last bits.
 
@@ -76,6 +80,7 @@ def _cases() -> dict[str, list[str]]:
     })
     cases.update({
         "freedom.worked_structure": ["freedom", "fixtures/worked_structure.json"],
+        "freedom.structure10": ["freedom", "tests/golden/structure10.json"],
         "enumerate.xyz-limit5": ["enumerate", "--options", "x,y,z", "--limit", "5"],
         "simulate-media.N": ["simulate-media", "--p", "0.46", "--lambda", "0.7", "--menu", "N"],
         "simulate-media.M-no-reactance": [

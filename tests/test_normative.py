@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from rschoice.core import GroundSet, LinearOrder, TypePartition, choice_from_order
@@ -247,7 +248,7 @@ def test_composition_budget_rejects_before_any_menu_work(monkeypatch):
         raise AssertionError("menu work started before the budget check")
 
     for name in ("_satisfaction_signature", "_dominance_witnesses",
-                 "_composition_witnesses", "_composition_open_pairs"):
+                 "_composition_witnesses", "_composition_open_pairs", "_composition_tables"):
         monkeypatch.setattr(normative, name, expensive)
     with pytest.raises(CompositionBudgetError) as exc:
         check_menu_axioms(large, large_ranking)
@@ -304,3 +305,62 @@ def test_monotonicity_corollary(rng):
             while sub:
                 assert ranking.prefers(menu, sub)
                 sub = (sub - 1) & menu
+
+
+def test_menu_preference_keeps_a_read_only_signed_copy():
+    ground = GroundSet(("a", "b"))
+    source = np.array([0, 1, 2, 3], dtype=np.uint8)
+    pref = MenuPreference(ground, source)
+    source[1] = 9
+    assert pref.scores.tolist() == [0, 1, 2, 3]
+    assert pref.scores.dtype.kind == "i"  # a step below 0 does not wrap
+    assert pref.scores[0] - 1 == -1
+    with pytest.raises(ValueError):
+        pref.scores[1] = 5
+    with pytest.raises(ValueError):
+        MenuPreference(ground, (0, 1, 2))
+    assert freedom_ranking(freedom_model_from_choice(evaluate(worked_structure()))).scores.dtype == np.int8
+
+
+def test_menu_preference_equality_and_hash_follow_the_score_values():
+    ground = GroundSet(("a", "b"))
+    ints = MenuPreference(ground, (0, 1, 1, 2))
+    narrow = MenuPreference(ground, np.array([0, 1, 1, 2], dtype=np.int8))
+    floats = MenuPreference(ground, (0.0, 1.0, 1.0, 2.0))
+    assert ints == narrow == floats
+    assert hash(ints) == hash(narrow) == hash(floats)
+    assert len({ints, narrow, floats}) == 1
+    assert ints != MenuPreference(ground, (0, 1, 2, 2))
+    assert ints != MenuPreference(GroundSet(("a", "c")), (0, 1, 1, 2))
+    assert ints != (0, 1, 1, 2)
+
+
+def test_prefers_returns_a_plain_bool():
+    sc = scenario_improving_not_conservative()
+    ranking = freedom_ranking(freedom_model_from_choice(sc.cf))
+    answers = {ranking.prefers(["y", "z"], ["y"]), ranking.prefers(["y"], ["y", "z"])}
+    assert answers == {True, False}
+    assert all(type(answer) is bool for answer in answers)
+    floats = MenuPreference(ranking.ground, ranking.scores / 3)
+    assert type(floats.prefers(["y"], ["x"])) is bool
+
+
+def test_float_scores_are_ranked_by_value():
+    """Float scores keep their dtype, and scores that differ only in a
+    fraction rank apart: splitting one indifference class of the freedom
+    ranking by a small fraction changes the verdict as the integer split
+    does."""
+    model = _one_type_model(4, ("o0", "o2", "o1"))
+    ground = model.ground
+    ranking = freedom_ranking(model)
+    floats = MenuPreference(ground, ranking.scores + 0.25)
+    assert floats.scores.dtype == np.float64
+    assert check_menu_axioms(model, floats) == check_menu_axioms(model, ranking)
+    lifted = ground.mask_of(("o1", "o2"))
+    nudged = floats.scores.copy()
+    nudged[lifted] += 1e-9
+    doubled = ranking.scores.astype(np.int64) * 2
+    doubled[lifted] += 1
+    nudged_verdicts = check_menu_axioms(model, MenuPreference(ground, nudged))
+    assert nudged_verdicts == check_menu_axioms(model, MenuPreference(ground, doubled))
+    assert not all(v.holds for v in nudged_verdicts)
