@@ -431,6 +431,12 @@ def main(argv: list[str] | None = None) -> int:
     except ChoiceModelError as exc:
         sys.stderr.write(json.dumps({"error": exc.code, "message": str(exc)}) + "\n")
         return 2
+    except MemoryError:
+        # Exit 1 means "violations found"; a request too large for the
+        # memory at hand is an input error like the coded ones.
+        message = f"rschoice {args.subcommand} ran out of memory"
+        sys.stderr.write(json.dumps({"error": "out-of-memory", "message": message}) + "\n")
+        return 2
 
 
 if __name__ == "__main__":

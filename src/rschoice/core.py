@@ -268,20 +268,26 @@ class TypePartition:
 
     def __post_init__(self):
         masks = []
-        union = 0
         for block in self.blocks:
             if not block:
                 raise InvalidGroundSetError("empty partition block")
             mask = self.ground.mask_of(block)
             if mask.bit_count() != len(block):
                 raise InvalidGroundSetError(f"partition block {list(block)!r} repeats an option")
+            masks.append(mask)
+        self._set_masks(masks)
+
+    def _set_masks(self, masks: list[int]) -> None:
+        """Check that the nonempty ``masks`` are disjoint and cover the
+        ground set, then store them and their blocks in canonical order."""
+        union = 0
+        for mask in masks:
             if mask & union:
                 raise InvalidGroundSetError("partition blocks overlap")
             union |= mask
-            masks.append(mask)
         if union != self.ground.full_mask:
             raise InvalidGroundSetError("partition blocks do not cover the ground set")
-        masks.sort(key=lambda mask: mask & -mask)
+        masks = sorted(masks, key=lambda mask: mask & -mask)
         object.__setattr__(self, "blocks", tuple(self.ground.members(mask) for mask in masks))
         object.__setattr__(self, "_masks", tuple(masks))
 
@@ -297,11 +303,23 @@ class TypePartition:
         return out
 
     @classmethod
+    def from_masks(cls, ground: GroundSet, masks) -> "TypePartition":
+        """The partition whose blocks are the nonzero bitmasks ``masks``,
+        checked on the ints alone: no label is looked up."""
+        masks = list(masks)
+        if not all(masks):
+            raise InvalidGroundSetError("empty partition block")
+        partition = object.__new__(cls)
+        object.__setattr__(partition, "ground", ground)
+        partition._set_masks(masks)
+        return partition
+
+    @classmethod
     def from_block_of(cls, ground: GroundSet, block_of: list[int]) -> "TypePartition":
-        groups: dict[int, list[str]] = {}
+        masks: dict[int, int] = {}
         for pos, b in enumerate(block_of):
-            groups.setdefault(b, []).append(ground.options[pos])
-        return cls(ground, tuple(tuple(g) for g in groups.values()))
+            masks[b] = masks.get(b, 0) | 1 << pos
+        return cls.from_masks(ground, masks.values())
 
 
 @dataclass(frozen=True, eq=False)
@@ -441,9 +459,18 @@ def _decode(text: bytes | str) -> str:
         raise MalformedKeyError(f"input is not UTF-8: {exc}") from exc
 
 
-def _load_json(text: str, **kwargs):
+#: The decoder ``json.loads`` uses when given no options.
+_JSON_DECODER = json.JSONDecoder()
+
+
+def _load_json(text: str, decoder: json.JSONDecoder = _JSON_DECODER):
+    """``json.loads(text)`` through ``decoder``, with its errors and its
+    refusal of a leading byte order mark.  ``json.loads`` given a hook
+    builds a new decoder on every call; these decoders are built once."""
     try:
-        return json.loads(text, **kwargs)
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return decoder.decode(text)
     except json.JSONDecodeError as exc:
         raise MalformedKeyError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -465,6 +492,10 @@ def _reject_duplicate_keys(pairs):
                 raise DuplicateMenuError(f"duplicate menu key {key!r}")
             seen.add(key)
     return doc
+
+
+#: Decodes choice files, refusing a menu key given twice.
+_CHOICE_DECODER = json.JSONDecoder(object_pairs_hook=_reject_duplicate_keys)
 
 
 @lru_cache(maxsize=PARSED_GROUND_CACHE_SIZE)
@@ -532,7 +563,7 @@ def parse_choice_function(text: bytes | str, format: str = "json") -> ChoiceFunc
             return cf
     text = _decode(text)
     if format == "json":
-        doc = _load_json(text, object_pairs_hook=_reject_duplicate_keys)
+        doc = _load_json(text, _CHOICE_DECODER)
         if not isinstance(doc, dict) or "options" not in doc or "choices" not in doc:
             raise MalformedKeyError("expected an object with 'options' and 'choices'")
         options = _labels(doc["options"], "'options'")

@@ -24,11 +24,12 @@ flow is autonomous and ``dt`` is fixed, so a step is a pure function of
 ``q`` and every later step would return the same ``q``.  Runs whose
 ``round(horizon / dt)`` exceeds ``MAX_CULTURE_STEPS``, and consistency
 lattices above ``MAX_CONSISTENCY_GRID``, are rejected before any work.
-A step is four right-hand sides and eight evaluations of the effort
-formula, all Python calls, so the loop computes the exponent, both budget
-corners and the step weights once per run: a step costs 2.5-3.6 us
-(6.6-9.1 us when each call recomputed them; fresh processes, shared 2-core
-machine).
+A step is four evaluations of the flow's slope, one closure per run
+(``_flow``) that computes the exponent and the budget corners once and
+writes both effort formulas out in its body: four Python calls per step,
+where a call per right-hand side and per effort made twelve.  A step
+costs 1.5-2.7 us, against 1.8-3.0 us with the twelve calls (alternating
+fresh processes, Python 3.11, shared 2-core machine).
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class GridBudgetError(ChoiceModelError):
 
 #: Most RK4 steps one ``culture_dynamics`` run may take: 50 times the CLI
 #: default of 200 / 0.01.  A run that never reaches a fixed point uses them
-#: all in 2.5-3.6 s (same machine as the module docstring).
+#: all in 1.5-2.7 s (same machine as the module docstring).
 MAX_CULTURE_STEPS = 1_000_000
 #: Largest ``culture_rsc_consistency`` lattice.  Its cost is a few array
 #: passes per policy, linear in the grid: 0.02 s and 44 MB peak at 100 000,
@@ -168,12 +169,8 @@ def effort(beta: float, value: float, g: float, q: float) -> float:
     interior branch beyond the float range (``beta`` near 1) lies above the
     corner, so the corner is returned.  ``beta`` must exceed 1.
     """
-    return _effort(beta, value, g, q, (1.0 / g) ** (1.0 / beta), 1.0 / (beta - 1.0))
-
-
-def _effort(beta: float, value: float, g: float, q: float, corner: float, power: float) -> float:
-    """``effort`` given its corner ``(1 / g) ** (1 / beta)`` and exponent
-    ``1 / (beta - 1)``, which ``culture_dynamics`` computes once per run."""
+    corner = (1.0 / g) ** (1.0 / beta)
+    power = 1.0 / (beta - 1.0)
     if q >= 1.0:
         return 0.0
     try:
@@ -182,6 +179,50 @@ def _effort(beta: float, value: float, g: float, q: float, corner: float, power:
         return corner
     # min(corner, interior) without the builtin call: the same pick, NaN included.
     return interior if interior < corner else corner
+
+
+def _flow(beta: float, value: float, g: float, v_hat: float):
+    """The slope ``x (1 - x) (d_minority - d_majority)`` of the share flow
+    as one closure, built once per ``culture_dynamics`` run.
+
+    The minority faces policy ``g`` with transmission value ``value`` and
+    the majority policy 1 with ``v_hat``.  The body spells out both
+    ``effort`` calls with the exponent and the minority's budget corner
+    computed here (the majority's corner is exactly 1), so ``slope(x)``
+    gives the same bits as clamping ``x`` to [0, 1] and calling
+    ``effort(beta, value, g, x)`` and ``effort(beta, v_hat, 1.0, 1.0 - x)``.
+    """
+    power = 1.0 / (beta - 1.0)
+    corner = (1.0 / g) ** (1.0 / beta)
+
+    def slope(x: float) -> float:
+        # min(max(x, 0.0), 1.0) by comparisons; -0.0 and NaN pass the same way.
+        if x < 0.0:
+            x = 0.0
+        elif x > 1.0:
+            x = 1.0
+        rest = 1.0 - x
+        if x >= 1.0:
+            d_minority = 0.0
+        else:
+            try:
+                interior = (rest / beta * value / g) ** power
+            except OverflowError:
+                interior = math.inf
+            d_minority = interior if interior < corner else corner
+        # The majority's share of oblique transmission is ``rest``; its
+        # effort formula divides by g = 1, which is exact and left out.
+        if rest >= 1.0:
+            d_majority = 0.0
+        else:
+            try:
+                interior = ((1.0 - rest) / beta * v_hat) ** power
+            except OverflowError:
+                interior = math.inf
+            d_majority = interior if interior < 1.0 else 1.0
+        return x * rest * (d_minority - d_majority)
+
+    return slope
 
 
 def culture_effort(params: CultureParams, q: float, policy_g: float, side: str) -> float:
@@ -267,33 +308,20 @@ def culture_dynamics(params: CultureParams, record_every: int = 1) -> CultureOut
     beta, g = params.beta, params.g
     value_minority = transmission_value(g, params.g_hat, params.v_hat, params.lambda_r)
     v_hat = params.v_hat
-    # Constant within a run: the exponent, both budget corners (the majority
-    # faces policy 1, whose corner is exactly 1) and the RK4 step weights.
-    # ``0.5 * dt * k1`` evaluates as ``(0.5 * dt) * k1``, so the weights give
-    # the same bits as the spelled-out step.
-    power = 1.0 / (beta - 1.0)
-    corner_minority = (1.0 / g) ** (1.0 / beta)
+    slope = _flow(beta, value_minority, g, v_hat)
+    # ``0.5 * dt * k1`` evaluates as ``(0.5 * dt) * k1``, so the step weights
+    # give the same bits as the spelled-out step.
     steps, dt = params.steps, params.dt
     half_dt, sixth_dt = 0.5 * dt, dt / 6.0
-
-    def rhs(q: float) -> float:
-        # min(max(q, 0.0), 1.0) by comparisons; -0.0 and NaN pass the same way.
-        if q < 0.0:
-            q = 0.0
-        elif q > 1.0:
-            q = 1.0
-        d_m = _effort(beta, value_minority, g, q, corner_minority, power)
-        d_mj = _effort(beta, v_hat, 1.0, 1.0 - q, 1.0, power)
-        return q * (1.0 - q) * (d_m - d_mj)
 
     q = params.q0
     trajectory = [(0.0, q)]
     for k in range(steps):
         q_prev = q
-        k1 = rhs(q)
-        k2 = rhs(q + half_dt * k1)
-        k3 = rhs(q + half_dt * k2)
-        k4 = rhs(q + dt * k3)
+        k1 = slope(q)
+        k2 = slope(q + half_dt * k1)
+        k3 = slope(q + half_dt * k2)
+        k4 = slope(q + dt * k3)
         q = q + sixth_dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if q < 0.0:
             q = 0.0

@@ -398,16 +398,21 @@ def check_menu_axioms(
     W 2^n / 2.  Each violating menu adds its O(2^n) scan, each C with an
     open D an O(W V) row and each open pair its O(4^n) scan.  A
     composition gate W * (2^n + W * V) over ``MAX_COMPOSITION_WORK``
-    raises ``CompositionBudgetError`` once the scores are ranked, before
-    either check starts.
+    raises ``CompositionBudgetError`` before either check starts: when
+    W * 2^n alone is over the budget, before the scores are ranked, else
+    once they are.
     """
     ground = model.ground
-    rank = np.unique(pref.scores, return_inverse=True)[1]
     within_count = sum((1 << len(block)) - 1 for block in model.structure.types.blocks)
-    work = within_count * ((1 << ground.size) + within_count * (int(rank.max()) + 1))
+    # W * 2^n needs no ranking: a gate it already puts over the budget is
+    # refused before the O(2^n log 2^n) ranking runs.
+    work = within_count << ground.size
+    if work <= MAX_COMPOSITION_WORK:
+        rank = np.unique(pref.scores, return_inverse=True)[1]
+        work += within_count * within_count * (int(rank.max()) + 1)
     if work > MAX_COMPOSITION_WORK:
         raise CompositionBudgetError(
-            f"composition gate of {work} steps for {within_count} within-type menus "
+            f"composition gate of at least {work} steps for {within_count} within-type menus "
             f"is over the budget of {MAX_COMPOSITION_WORK}"
         )
     sig = _satisfaction_signature(model)

@@ -196,27 +196,26 @@ def similarity_classes(reaction: BinaryRelation) -> TypePartition:
     Options linked by a reaction in either direction share a class;
     isolated options form singleton blocks.
     """
-    n = reaction.ground.size
-    undirected = [0] * n
+    ground = reaction.ground
+    undirected = list(reaction.rows)
     for i, row in enumerate(reaction.rows):
-        undirected[i] |= row
         for j in iter_bits(row):
             undirected[j] |= 1 << i
-    block_of = [-1] * n
-    label = 0
-    for start in range(n):
-        if block_of[start] != -1:
-            continue
-        stack = [start]
-        block_of[start] = label
-        while stack:
-            u = stack.pop()
-            for v in iter_bits(undirected[u]):
-                if block_of[v] == -1:
-                    block_of[v] = label
-                    stack.append(v)
-        label += 1
-    return TypePartition.from_block_of(reaction.ground, block_of)
+    # Each component is the OR-closure of the rows from its smallest
+    # unplaced option, so the blocks come out ordered by smallest member.
+    masks = []
+    left = ground.full_mask
+    while left:
+        block = frontier = left & -left
+        while frontier:
+            reach = 0
+            for v in iter_bits(frontier):
+                reach |= undirected[v]
+            frontier = reach & ~block
+            block |= frontier
+        masks.append(block)
+        left &= ~block
+    return TypePartition.from_masks(ground, masks)
 
 
 def reveal(cf: ChoiceFunction) -> RevealedReport:

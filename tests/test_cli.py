@@ -455,6 +455,18 @@ CULTURE_ARGS = [
 ]
 
 
+def test_out_of_memory_is_a_coded_error(capsys, monkeypatch, tmp_path):
+    def exhausted(args):
+        raise MemoryError
+
+    path = tmp_path / "structure.json"
+    path.write_text(serialize_structure_json(worked_structure()))
+    monkeypatch.setitem(cli._COMMANDS, "freedom", exhausted)
+    code, out, err = run(capsys, "freedom", str(path))
+    _assert_one_coded_error(code, out, err, "out-of-memory")
+    assert json.loads(err)["message"] == "rschoice freedom ran out of memory"
+
+
 def _must_not_run(*args, **kwargs):
     raise AssertionError("work started before the request was checked")
 

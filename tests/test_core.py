@@ -241,6 +241,18 @@ def test_partition_validation():
     assert part.blocks == (("x", "y"), ("z",))  # canonical order
 
 
+def test_partition_from_masks():
+    ground = GroundSet(("x", "y", "z"))
+    for bad in ((0b011,), (0b011, 0b110), (0b011, 0b100, 0), (0b0011, 0b1100)):
+        with pytest.raises(InvalidGroundSetError):
+            TypePartition.from_masks(ground, bad)
+    part = TypePartition.from_masks(ground, (0b100, 0b011))
+    assert part == TypePartition(ground, (("z",), ("y", "x")))
+    assert hash(part) == hash(TypePartition(ground, (("x", "y"), ("z",))))
+    assert part.blocks == (("x", "y"), ("z",)) and part.block_masks() == (0b011, 0b100)
+    assert TypePartition.from_block_of(ground, [1, 0, 1]).blocks == (("x", "z"), ("y",))
+
+
 def test_linear_order_is_permutation():
     ground = GroundSet(("x", "y"))
     with pytest.raises(InvalidGroundSetError):

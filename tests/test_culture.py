@@ -388,39 +388,58 @@ def test_dynamics_equal_the_full_loop_at_the_edges():
 
 
 def test_effort_helper_equals_effort_pointwise():
-    # effort, the helper culture_dynamics calls with its per-run constants,
-    # and the one-expression formula agree on every branch: q >= 1, the
-    # overflowing interior, the corner and the interior, -0.0 and NaN shares.
+    # effort, the slope culture_dynamics builds once per run, and the
+    # one-expression formula agree on every branch of both efforts: a share
+    # of 1 or more (zero effort), the overflowing interior, the corner and
+    # the interior, with -0.0, NaN and shares outside [0, 1], which the
+    # slope clamps first.
     branches = set()
     for beta in (1.0000001, 1.0000009, 1.5, 2.0, 3.0):
-        power = 1.0 / (beta - 1.0)
         for g in (1.0, 1.5, 3.0, 100.0):
             corner = (1.0 / g) ** (1.0 / beta)
             for value in (1.0, 2.0, 100.0, 1e6):
-                for q in (-0.0, 0.0, 1e-13, 0.3, 0.9, 1.0 - 1e-13, 1.0, 1.5, math.nan):
-                    expected = reference_effort(beta, value, g, q)
-                    assert effort(beta, value, g, q) == expected
-                    assert culture._effort(beta, value, g, q, corner, power) == expected
-                    branches.add("zero" if q >= 1.0 else "corner" if expected == corner
-                                 else "interior")
-    assert branches == {"zero", "corner", "interior"}
+                for v_hat in (1.0, 2.5, 1e6):
+                    slope = culture._flow(beta, value, g, v_hat)
+                    for q in (-0.5, -0.0, 0.0, 1e-13, 0.3, 0.9, 1.0 - 1e-13, 1.0, 1.5,
+                              math.nan):
+                        minority = reference_effort(beta, value, g, q)
+                        assert effort(beta, value, g, q) == minority
+                        x = min(max(q, 0.0), 1.0)
+                        expected = x * (1.0 - x) * (
+                            reference_effort(beta, value, g, x)
+                            - reference_effort(beta, v_hat, 1.0, 1.0 - x)
+                        )
+                        # repr tells -0.0 from 0.0 and reads every NaN alike.
+                        assert repr(slope(q)) == repr(expected)
+                        branches.add("zero" if x >= 1.0 else "corner" if minority == corner
+                                     else "interior")
+                        try:
+                            ((1.0 - x) / beta * value / g) ** (1.0 / (beta - 1.0))
+                        except OverflowError:
+                            branches.add("overflow")
+    assert branches == {"zero", "overflow", "corner", "interior"}
 
 
 def test_dynamics_stop_at_the_fixed_point(monkeypatch):
     # The default run reaches an exact fixed point near step 7 900 of 20 000;
-    # each RK4 step calls the effort helper 8 times.
+    # each RK4 step evaluates the slope 4 times.
     calls = 0
-    real_effort = culture._effort
+    real_flow = culture._flow
 
-    def counting_effort(*args):
-        nonlocal calls
-        calls += 1
-        return real_effort(*args)
+    def counting_flow(*args):
+        slope = real_flow(*args)
 
-    monkeypatch.setattr(culture, "_effort", counting_effort)
+        def counting_slope(x):
+            nonlocal calls
+            calls += 1
+            return slope(x)
+
+        return counting_slope
+
+    monkeypatch.setattr(culture, "_flow", counting_flow)
     params = CultureParams(**BASE)
     out = culture_dynamics(params, record_every=100)
-    assert calls < 8 * params.steps // 2
+    assert 0 < calls < 4 * params.steps // 2
     assert len(out.trajectory) == 1 + params.steps // 100
     assert out.trajectory[-1][0] == params.steps * params.dt
 

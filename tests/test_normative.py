@@ -232,7 +232,8 @@ def test_composition_is_decided_on_every_within_type_pair():
 
 def test_composition_budget_rejects_before_any_menu_work(monkeypatch):
     """W * (2^n + W * V) over the budget raises the coded error before the
-    signature, either gate or either scan runs."""
+    signature, either gate or either scan runs, and W * 2^n over it before
+    the scores are ranked."""
     small = _one_type_model(5)
     small_ranking = freedom_ranking(small)
     small_work = 31 * ((1 << 5) + 31 * 2)  # W = 31 menus, V = 2 scores
@@ -244,7 +245,7 @@ def test_composition_budget_rejects_before_any_menu_work(monkeypatch):
     assert all(v.holds for v in check_menu_axioms(small, small_ranking))
     monkeypatch.undo()
 
-    def expensive(*args):
+    def expensive(*args, **kwargs):
         raise AssertionError("menu work started before the budget check")
 
     for name in ("_satisfaction_signature", "_dominance_witnesses",
@@ -256,6 +257,15 @@ def test_composition_budget_rejects_before_any_menu_work(monkeypatch):
     monkeypatch.setattr(normative, "MAX_COMPOSITION_WORK", small_work - 1)
     with pytest.raises(CompositionBudgetError):
         check_menu_axioms(small, small_ranking)
+    # W * 2^n alone is over the budget at one type of 15 options: the
+    # request is refused before the 2^15 scores are ranked.
+    monkeypatch.undo()
+    larger = _one_type_model(15)
+    larger_ranking = freedom_ranking(larger)
+    assert 32767 << 15 > normative.MAX_COMPOSITION_WORK
+    monkeypatch.setattr(normative.np, "unique", expensive)
+    with pytest.raises(CompositionBudgetError):
+        check_menu_axioms(larger, larger_ranking)
 
 
 def test_a_twelve_option_type_is_within_the_composition_budget():

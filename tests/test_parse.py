@@ -247,6 +247,9 @@ def test_parser_matches_reference_on_every_error_path():
     ("json", '{"options": ["x", "y"], "options": ["x", "y"], "choices": {}}'),
     ("json", '{"options": ["x", "y"], "choices": {}}'),
     ("json", '{"options": ["x", "y"], "choices": {"x": "x", "y": "y", "x,y": "x", "y,x": "y"}}'),
+    ("json", '\ufeff{"options": ["x", "y"], "choices": {"x": "x", "y": "y", "x,y": "x"}}'),
+    ("json", ' {"options": ["x", "y"], "choices": {"x": "x", "y": "y", "x,y": "x"}} \n'),
+    ("json", '{"options": ["x", "y"], "choices": {"x": "x", "y": "y", "x,y": "x"}} []'),
     ("csv", ""),
     ("csv", "menu;choice\nx,x\n"),
     ("csv", "menu,choice\n"),
@@ -258,6 +261,24 @@ def test_parser_matches_reference_on_every_error_path():
 ])
 def test_parser_matches_reference_on_malformed_documents(fmt, text):
     _assert_same(text, fmt)
+
+
+def test_json_parses_build_no_decoder(monkeypatch):
+    # json.loads given a hook builds a JSONDecoder per call; the parsers
+    # reuse theirs, with the same results and messages.
+    text = '{"options": ["x", "y"], "choices": {"x": "x", "y": "y", "x,y": "x"}}'
+    expected = _assert_same(text, "json")
+
+    def no_decoder(*args, **kwargs):
+        raise AssertionError("a JSONDecoder was built during a parse")
+
+    monkeypatch.setattr(json.JSONDecoder, "__init__", no_decoder)
+    assert _outcome(parse_choice_function, text, "json") == expected
+    assert _outcome(parse_choice_function, "\ufeff" + text, "json")[0] is MalformedKeyError
+    with pytest.raises(MalformedKeyError, match="Unexpected UTF-8 BOM"):
+        parse_structure_json("\ufeff{}")
+    structure = '{"types": [["x", "y"], ["z"]], "welfare": ["x", "y", "z"], "reaction": ["z", "x", "y"]}'
+    assert parse_structure_json(structure).types.blocks == (("x", "y"), ("z",))
 
 
 def test_wrong_entry_count_is_rejected_without_building_the_key_table(monkeypatch):

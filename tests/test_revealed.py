@@ -5,7 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from rschoice.core import GroundSet, LinearOrder, choice_from_order, iter_bits, parse_choice_function
+from rschoice.core import (
+    GroundSet,
+    LinearOrder,
+    TypePartition,
+    choice_from_order,
+    iter_bits,
+    parse_choice_function,
+)
 from rschoice.axioms import check_exp, tsm_choice, tsm_fixture_nrs_violation
 from rschoice.fixtures import detergent_choice
 from rschoice.generators import ground_of_size, random_structure
@@ -137,3 +144,48 @@ def test_crosscheck_with_a_report_equals_crosscheck_without(name):
 def test_report_serializes():
     doc = reveal(detergent_choice()).to_json()
     assert '"x reacts to y": "z"' in doc
+
+
+def similarity_reference(reaction):
+    """Components by depth-first search over labels, as blocks of labels."""
+    ground = reaction.ground
+    n = ground.size
+    undirected = [0] * n
+    for i, row in enumerate(reaction.rows):
+        undirected[i] |= row
+        for j in iter_bits(row):
+            undirected[j] |= 1 << i
+    block_of = [-1] * n
+    label = 0
+    for start in range(n):
+        if block_of[start] != -1:
+            continue
+        stack = [start]
+        block_of[start] = label
+        while stack:
+            u = stack.pop()
+            for v in iter_bits(undirected[u]):
+                if block_of[v] == -1:
+                    block_of[v] = label
+                    stack.append(v)
+        label += 1
+    groups = {}
+    for pos, b in enumerate(block_of):
+        groups.setdefault(b, []).append(ground.options[pos])
+    return TypePartition(ground, tuple(tuple(g) for g in groups.values()))
+
+
+def test_similarity_classes_equal_the_search_over_labels():
+    # Sparse to dense random reaction graphs on 2-12 options; blocks and
+    # their masks in the same order as the label search gives them.
+    rng = random.Random(23)
+    for n in range(2, 13):
+        ground = ground_of_size(n)
+        for density in (0.0, 0.05, 0.15, 0.4):
+            for _ in range(20):
+                rows = [sum(1 << j for j in range(n) if j != i and rng.random() < density)
+                        for i in range(n)]
+                reaction = BinaryRelation(ground, rows, strict=True)
+                got, expected = similarity_classes(reaction), similarity_reference(reaction)
+                assert got.blocks == expected.blocks
+                assert got.block_masks() == expected.block_masks()
