@@ -229,12 +229,6 @@ def _union_closed_families(table: np.ndarray, xs: list[int], families: list) -> 
     return [bool((table.take(span[:, j]) == x).all()) for j, x in enumerate(xs)]
 
 
-def _union_closed(table: np.ndarray, x: int) -> bool:
-    """Whether the menus choosing ``x`` are closed under union."""
-    menus = np.flatnonzero(table == x).astype(np.int32)
-    return _union_closed_families(table, [x], [menus])[0]
-
-
 def _subset_zeta(values: np.ndarray, op: np.ufunc) -> None:
     """Yates' subset (zeta) transform in place along axis 0, of length 2^k:
     values[s] becomes ``op`` folded over values[t] for every t inside s.

@@ -35,10 +35,12 @@ to ``GroundSet.parse_menu_key``.
 A ``ChoiceFunction`` stores its 2^n picks as one read-only ``np.int8``
 array, ``table``, checked in one numpy pass when it is built.  Whole-table
 passes run on it: ``choice_from_order`` here,
-``revealed.single_deletion_switches``, ``structure.evaluate``,
-``normative.bernheim_rangel_pstar`` and the Expansion gate and scan.  Reshaping a
-table to ``(-1, 2, 1 << y)`` pairs every menu without option y (``[:, 0]``)
-with the same menu plus y (``[:, 1]``).  The pair readers
+``revealed.single_deletion_switches``, ``normative.bernheim_rangel_pstar``
+and the Expansion gate and scan.  Reshaping a table to ``(-1, 2, 1 << y)``
+pairs every menu without option y (``[:, 0]``) with the same menu plus y
+(``[:, 1]``).  ``structure.evaluate`` views the table it builds as
+``(2,) * n``, axis a being option n - 1 - a, and writes each option once
+into a subcube of it.  The pair readers
 (``revealed.reveal_binary``; NRS, IR and SPR in ``axioms``) read
 ``beats``, pairwise choice as n bitmask rows built once from the n(n-1)/2
 pair menus in O(n^2).  The triple reader, ``revealed.reveal_reaction``,

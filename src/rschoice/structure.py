@@ -7,8 +7,9 @@ consideration set), then pick the reaction-best of those.  That rule is
 implemented once for a single menu, in ``two_stage_choice``:
 ``consideration_set`` here, ``media.media_menu_choice`` and
 ``culture.culture_rsc_consistency`` call it.  ``evaluate`` runs the same
-rule on every menu at once, in masked numpy passes per type chain over an
-int8 table laid out like ``ChoiceFunction.table``.
+rule on every menu at once: each option writes itself, reaction-worst
+first, into the subcube of menus where it survives stage one, in one int8
+table laid out like ``ChoiceFunction.table``.
 
 ``synthesize_rs`` inverts the model: given a choice function satisfying
 Expansion, NRS and IR it constructs a rationalizing structure whose types
@@ -150,25 +151,25 @@ def consideration_set(s: RSStructure, menu_mask: int) -> int:
 def evaluate(s: RSStructure) -> ChoiceFunction:
     """Total choice function generated by the structure, all menus at once.
 
-    ``two_stage_choice`` over whole-table arrays: per type chain, stage one
-    writes the chain's members into every menu containing them, welfare-worst
-    first, so the welfare-best member present is left; stage two keeps it
-    where its reaction key beats the best key so far.
+    One int8 table of 2^n picks, viewed as ``(2,) * n`` (axis a is option
+    n - 1 - a).  Option x survives stage one in the menus that hold x and
+    none of the welfare-better members of its type: a subcube, which takes
+    x in one basic-indexing assignment.  The options are written
+    reaction-worst first, so each menu keeps its reaction-best survivor.
     """
-    chains, keys = _kernel_inputs(s)
-    n = s.ground.size
-    chosen = np.full(1 << n, -1, dtype=np.int8)
-    best = np.full(1 << n, -n, dtype=np.int8)  # below every key -(n-1)..0
-    kept, kept_key = np.empty_like(chosen), np.empty_like(best)
-    for chain in chains:
-        kept.fill(-1)
-        kept_key.fill(-n)
-        for member in reversed(chain):
-            kept.reshape(-1, 2, 1 << member)[:, 1] = member
-            kept_key.reshape(-1, 2, 1 << member)[:, 1] = keys[member]
-        np.copyto(chosen, kept, where=kept_key > best)
-        np.maximum(best, kept_key, out=best)
-    return ChoiceFunction(s.ground, chosen)
+    n, index = s.ground.size, s.ground.index
+    table = np.full(1 << n, -1, dtype=np.int8)
+    cube, better = table.reshape((2,) * n), [0] * n
+    for chain in _kernel_inputs(s)[0]:
+        for above, x in zip(chain, chain[1:]):
+            better[x] = better[above] | 1 << above
+    for x in map(index.__getitem__, reversed(s.reaction_pref.ranking)):
+        at = [slice(None)] * n
+        for y in iter_bits(better[x]):
+            at[n - 1 - y] = 0
+        at[n - 1 - x] = 1
+        cube[tuple(at)] = x
+    return ChoiceFunction(s.ground, table)
 
 
 def reaction_characterization(s: RSStructure) -> BinaryRelation:

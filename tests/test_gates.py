@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from rschoice.axioms import _union_closed, check_exp
+from rschoice.axioms import _union_closed_families, check_exp
 from rschoice.core import (
     ChoiceFunction,
     GroundSet,
@@ -147,7 +147,10 @@ def test_exp_gate_flags_exactly_the_families_with_witnesses_on_census_4():
     flagged_total = count = 0
     for cf in enumerate_choice_functions(ground):
         table = np.array(cf.choices, dtype=np.int8)
-        flagged = {x for x in range(ground.size) if not _union_closed(table, x)}
+        xs = list(range(ground.size))
+        families = [np.flatnonzero(table == x).astype(np.int32) for x in xs]
+        flagged = {x for x, closed in zip(xs, _union_closed_families(table, xs, families))
+                   if not closed}
         witnessed = {ground.index[w[2]] for w in exp_reference(cf)}
         assert flagged == witnessed, cf.choices
         flagged_total += len(flagged)

@@ -17,7 +17,10 @@ reveals 19 reactions and fails Exp, NRS, SPR and IIA.  ``freedom`` also
 runs on ``tests/golden/structure10.json``, a 10-option structure with three
 types of 5, 2 and 3 options whose satisfied sets are all nonempty
 (``random_single_peaked_structure(random.Random(51), ground_of_size(10))``),
-so its 1 023 rows hold every count from 0 to 3.  The numpy-based
+so its 1 023 rows hold every count from 0 to 3.  ``synthesize`` and
+``welfare`` also run on ``tests/golden/clean10.json``, the choice function
+that structure generates (``serialize_choice_function(evaluate(...))``), so
+the success path is pinned at a realistic size too.  The numpy-based
 consistency report of ``simulate-culture --consistency-grid`` is left out,
 so that numpy versions cannot flip its last bits.
 
@@ -77,6 +80,9 @@ def _cases() -> dict[str, list[str]]:
         f"{cmd}.noisy10": [args[0], "tests/golden/noisy10.json", *args[1:]]
         for cmd, args in CHOICE_COMMANDS.items()
         if cmd in ("check-axioms", "reveal-cross-check", "synthesize")
+    })
+    cases.update({
+        f"{cmd}.clean10": [cmd, "tests/golden/clean10.json"] for cmd in ("synthesize", "welfare")
     })
     cases.update({
         "freedom.worked_structure": ["freedom", "fixtures/worked_structure.json"],

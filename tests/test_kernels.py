@@ -2,10 +2,13 @@
 kept here as references.
 
 ``single_deletion_switches``, ``evaluate``, ``bernheim_rangel_pstar`` and
-``choice_from_order`` each run masked passes over an int8 choice table.
+``choice_from_order`` each run whole-table passes over an int8 choice table.
 On order-, structure-, noise-generated and uniformly random functions at
 n = 2-8, and on one 12-option case, each must return exactly what its
-reference loop returns.  ``ChoiceFunction`` checks its picks in one numpy
+reference loop returns.  ``evaluate`` is also held to its reference on every
+structure with 2, 3 and 4 options, and at the cap of 24 options, where its
+table is viewed with 24 axes, to the order that decides it when every type
+is a singleton or one type holds every option.  ``ChoiceFunction`` checks its picks in one numpy
 pass; with bad entries planted in random tables it must raise what the
 per-menu check raised, with the same message.
 """
@@ -23,7 +26,9 @@ from rschoice.core import (
     ChoiceOutsideMenuError,
     GroundSet,
     LinearOrder,
+    MAX_GROUND_SIZE,
     MissingMenuError,
+    TypePartition,
     choice_from_order,
     iter_bits,
 )
@@ -36,7 +41,13 @@ from rschoice.generators import (
 )
 from rschoice.normative import bernheim_rangel_pstar
 from rschoice.revealed import single_deletion_switches
-from rschoice.structure import RSStructure, _kernel_inputs, evaluate, two_stage_choice
+from rschoice.structure import (
+    RSStructure,
+    _kernel_inputs,
+    enumerate_structures,
+    evaluate,
+    two_stage_choice,
+)
 
 
 def switches_reference(cf: ChoiceFunction) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -141,6 +152,27 @@ def test_evaluate_matches_two_stage_choice_on_every_menu(size):
         cf = evaluate(s)
         assert cf.choices == evaluate_reference(s)
         _assert_trusted_table(cf)
+
+
+def test_evaluate_matches_two_stage_choice_on_every_structure_up_to_four_options():
+    count = 0
+    for size in (2, 3, 4):
+        for s in enumerate_structures(ground_of_size(size)):
+            assert evaluate(s).table.tolist() == list(evaluate_reference(s)), s
+            count += 1
+    assert count == 8_828
+
+
+@pytest.mark.parametrize("single_type", [False, True])
+def test_evaluate_at_the_cap_is_choice_by_the_deciding_order(single_type):
+    """Singleton types keep every member, so the reaction order decides; one
+    type keeps only its welfare-best member, so the welfare order does."""
+    rng = random.Random(MAX_GROUND_SIZE)
+    ground = ground_of_size(MAX_GROUND_SIZE)
+    welfare, reaction = random_order(rng, ground), random_order(rng, ground)
+    blocks = (ground.options,) if single_type else tuple((x,) for x in ground.options)
+    s = RSStructure(ground, TypePartition(ground, blocks), welfare, reaction)
+    assert evaluate(s) == choice_from_order(welfare if single_type else reaction)
 
 
 @pytest.mark.parametrize("size", [*range(2, 9), 12])
