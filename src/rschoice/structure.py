@@ -13,7 +13,10 @@ table laid out like ``ChoiceFunction.table``.
 
 ``synthesize_rs`` inverts the model: given a choice function satisfying
 Expansion, NRS and IR it constructs a rationalizing structure whose types
-are the revealed similarity classes.  ``certify_single_peaked`` searches
+are the revealed similarity classes.  One sort per type gives its reaction
+order: by how many dissimilar options each member beats, ties by revealed
+choice, reversed inside the threshold-to-peak band; the welfare order
+merges the per-type revealed chains.  ``certify_single_peaked`` searches
 each type for a threshold above which the two orders agree and below which
 the reaction order is single-peaked in the welfare order.
 ``minimal_structure`` ties both together and cross-checks the canonical
@@ -23,6 +26,7 @@ threshold/peak identities against the reaction relation.
 from __future__ import annotations
 
 import json
+from bisect import insort
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -228,17 +232,20 @@ def synthesize_rs(
     Construction, per similarity class T of the revealed reaction relation:
 
     1. rank T internally by pairwise revealed choice;
-    2. build the dominance preorder: x before y iff every option outside T
-       beaten by y is also beaten by x (complete when IR holds);
+    2. the dominance preorder puts x before y iff every option outside T
+       beaten by y is also beaten by x.  It is complete (as IR ensures)
+       iff these beaten sets form a chain under inclusion, and then x is
+       before y iff it beats at least as many options outside T;
     3. the threshold is the revealed-worst option with no outgoing
        reaction; the peak candidate is the revealed-best option weakly
        below it that nothing reacts to;
-    4. ties in the dominance preorder are broken by revealed choice,
+    4. one stable sort orders T by that count, ties in revealed order,
        reversed inside the threshold-to-peak band;
-    5. the reaction order glues the per-type tie-broken orders (within a
-       type) to pairwise revealed choice (across types);
-    6. the welfare order is a deterministic linear extension (topological,
-       ties to the earlier ground-set position) of the within-type rankings.
+    5. each member ranks above the members sorted below it and above the
+       options outside T it beats by pairwise revealed choice; the
+       reaction order sorts all options by how many they rank above;
+    6. the welfare order merges the within-type rankings, taking each time
+       the ready chain head earliest in the ground set.
 
     Construction plus ``evaluate(structure) == cf`` is the only validation:
     a structure that regenerates ``cf`` proves Exp, NRS and IR, so no axiom
@@ -290,26 +297,24 @@ def _construct(cf: ChoiceFunction, report: RevealedReport) -> tuple[RSStructure,
         chain = _within_type_ranking(strict_rows, tmask, members)
         type_chains.append(chain)
         rank_in = {m: k for k, m in enumerate(chain)}
-        outside = ~tmask
 
-        dominates = {}  # pair -> bool, under the preorder
-        for x in members:
-            outs_x = strict_rows[x] & outside
-            for y in members:
-                outs_y = strict_rows[y] & outside
-                dominates[(x, y)] = (outs_y & ~outs_x) == 0
+        # x dominates y when x beats every option outside T that y beats.
+        # The preorder is complete iff these sets form a chain under
+        # inclusion, and then x dominates y iff it beats at least as many.
+        outs = {m: strict_rows[m] & ~tmask for m in members}
         for x in members:
             for y in members:
-                if x != y and not dominates[(x, y)] and not dominates[(y, x)]:
+                if outs[x] & ~outs[y] and outs[y] & ~outs[x]:
                     raise _ConstructionFailure(
                         "reaction dominance is incomplete on "
                         f"({ground.options[x]}, {ground.options[y]})"
                     )
+        size = {m: outs[m].bit_count() for m in members}
         tie_relation[block] = tuple(
             (ground.options[x], ground.options[y])
             for x in members
             for y in members
-            if x != y and dominates[(x, y)]
+            if x != y and size[x] >= size[y]
         )
 
         nonreactors = [m for m in members if reaction_rows[m] == 0]
@@ -343,27 +348,14 @@ def _construct(cf: ChoiceFunction, report: RevealedReport) -> tuple[RSStructure,
         peak_candidates[block] = ground.options[peak]
         thresholds[block] = ground.options[threshold]
 
-        band_lo, band_hi = rank_in[threshold], rank_in[peak]
-        for ai in range(len(members)):
-            for bi in range(ai + 1, len(members)):
-                x, y = members[ai], members[bi]
-                if dominates[(x, y)] and not dominates[(y, x)]:
-                    order2_above[x] |= 1 << y
-                elif dominates[(y, x)] and not dominates[(x, y)]:
-                    order2_above[y] |= 1 << x
-                else:
-                    hi, lo = (x, y) if rank_in[x] < rank_in[y] else (y, x)
-                    inside_band = band_lo <= rank_in[hi] and rank_in[lo] <= band_hi
-                    if inside_band:
-                        order2_above[lo] |= 1 << hi
-                    else:
-                        order2_above[hi] |= 1 << lo
-
-    block_of = classes.block_of()
-    for x in range(n):
-        for y in iter_bits(strict_rows[x]):
-            if block_of[x] != block_of[y]:
-                order2_above[x] |= 1 << y
+        # Dominance ties follow revealed choice, reversed inside the
+        # threshold-to-peak band; a stable sort keeps that tie order.
+        lo, hi = rank_in[threshold], rank_in[peak]
+        tie_order = chain[:lo] + chain[lo:hi + 1][::-1] + chain[hi + 1:]
+        below = 0
+        for m in reversed(sorted(tie_order, key=lambda m: -size[m])):
+            order2_above[m] = below | outs[m]  # outs[m] holds the cross-type edges
+            below |= 1 << m
 
     wins2 = [bin(row).count("1") for row in order2_above]
     if sorted(wins2) != list(range(n)):
@@ -392,19 +384,13 @@ def _construct(cf: ChoiceFunction, report: RevealedReport) -> tuple[RSStructure,
 def _linear_extension(
     ground: GroundSet, type_chains: list[list[int]]
 ) -> tuple[tuple[str, ...], tuple[tuple[str, tuple[str, ...]], ...]]:
-    """Topological extension of the disjoint within-type chains.
+    """Merge of the disjoint within-type chains.
 
-    Ready options are emitted best-first; ties go to the earlier ground-set
-    position.
+    The ready options are the chain heads; the first in ground-set order is
+    emitted, and its successor in its chain joins the ready list.
     """
-    n = ground.size
-    successor = [-1] * n
-    in_deg = [0] * n
-    for chain in type_chains:
-        for a, b in zip(chain, chain[1:]):
-            successor[a] = b
-            in_deg[b] += 1
-    ready = [i for i in range(n) if in_deg[i] == 0]
+    successor = {a: b for chain in type_chains for a, b in zip(chain, chain[1:])}
+    ready = sorted(chain[0] for chain in type_chains)
     out: list[str] = []
     log: list[tuple[str, tuple[str, ...]]] = []
     while ready:
@@ -413,14 +399,8 @@ def _linear_extension(
             (ground.options[chosen], tuple(ground.options[i] for i in [chosen] + ready))
         )
         out.append(ground.options[chosen])
-        nxt = successor[chosen]
-        if nxt != -1:
-            in_deg[nxt] -= 1
-            if in_deg[nxt] == 0:
-                ready.append(nxt)
-                ready.sort()
-    if len(out) != n:
-        raise _ConstructionFailure("welfare extension left a cycle")
+        if chosen in successor:
+            insort(ready, successor[chosen])
     return tuple(out), tuple(log)
 
 

@@ -46,7 +46,13 @@ def mixed_choice_function(rng: random.Random, ground: GroundSet, kind: int) -> C
 def noisy_choice_function(rng: random.Random, ground: GroundSet) -> ChoiceFunction:
     """The choice of a random single-peaked structure with 1 % of its menus
     of two or more options given another member as choice."""
-    table = evaluate(random_single_peaked_structure(rng, ground)).table.tolist()
+    return reassigned(rng, evaluate(random_single_peaked_structure(rng, ground)))
+
+
+def reassigned(rng: random.Random, cf: ChoiceFunction) -> ChoiceFunction:
+    """``cf`` with 1 % of its menus of two or more options given another
+    member as choice."""
+    ground, table = cf.ground, cf.table.tolist()
     menus = [m for m in range(1, 1 << ground.size) if m & (m - 1)]
     for mask in rng.sample(menus, round(0.01 * len(menus))):
         others = [i for i in range(ground.size) if mask >> i & 1 and i != table[mask]]

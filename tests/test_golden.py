@@ -20,9 +20,13 @@ types of 5, 2 and 3 options whose satisfied sets are all nonempty
 so its 1 023 rows hold every count from 0 to 3.  ``synthesize`` and
 ``welfare`` also run on ``tests/golden/clean10.json``, the choice function
 that structure generates (``serialize_choice_function(evaluate(...))``), so
-the success path is pinned at a realistic size too.  The numpy-based
-consistency report of ``simulate-culture --consistency-grid`` is left out,
-so that numpy versions cannot flip its last bits.
+the success path is pinned at a realistic size too.  They also run on
+``tests/golden/band7.json``, the choice of a 7-option structure (types
+{o0, o1, o2, o5} and {o3, o4, o6}, welfare o3, o0, o6, o4, o2, o1, o5,
+reaction o4, o5, o6, o1, o2, o3, o0) on which a dominance tie inside the
+threshold-to-peak band decides the synthesized reaction order.  The
+numpy-based consistency report of ``simulate-culture --consistency-grid`` is
+left out, so that numpy versions cannot flip its last bits.
 
 Regenerate after an intended output change with::
 
@@ -82,7 +86,9 @@ def _cases() -> dict[str, list[str]]:
         if cmd in ("check-axioms", "reveal-cross-check", "synthesize")
     })
     cases.update({
-        f"{cmd}.clean10": [cmd, "tests/golden/clean10.json"] for cmd in ("synthesize", "welfare")
+        f"{cmd}.{name}": [cmd, f"tests/golden/{name}.json"]
+        for name in ("clean10", "band7")
+        for cmd in ("synthesize", "welfare")
     })
     cases.update({
         "freedom.worked_structure": ["freedom", "fixtures/worked_structure.json"],
