@@ -24,8 +24,11 @@ stop at the cap.  Only families of at most 16 menus, and every family
 below six options, are scanned pair by pair in Python.  NRS, IR and SPR
 read only ``ChoiceFunction.beats``, the n pairwise-choice rows (O(n^2) to
 build, once per function): each scan is O(n^3) bit tests plus O(n) per
-witness listed.  IIA walks, for every menu, the submenus that still hold
-its choice, 3^n / 2 steps, over ``table.tolist()``.
+witness listed.  IIA is gated too: a subset-OR transform over growing
+prefixes of the table (O(n 2^n) in all, O(2^n) memory) finds the menus
+that have a witness, and only those are walked, submenu by submenu, in
+Python; tables of at most 32 entries skip the transform, as Expansion's
+do.
 """
 
 from __future__ import annotations
@@ -106,11 +109,13 @@ def check_exp(cf: ChoiceFunction, cap: int = DEFAULT_VIOLATION_CAP) -> AxiomVerd
     scanned pair by pair in Python.  A larger one is first tested for
     closure by a subset-OR transform over the 2^(n-1) menus holding x
     (``_union_closed_families``); a closed family is skipped, and an open
-    one is scanned with numpy, one block of pairs at a time.  Transforms
-    run in batches of 1, 2, 4, ... families of at most ``EXP_GATE_BYTES``
-    of int32 rows (one family per batch from n = 22 on), so a clean input
-    pays about log2(n) batches and an input whose first large family is
-    open pays for one row.
+    one is scanned with numpy, one block of pairs at a time.  The first
+    batch of transforms takes every large family whose int32 rows fit in
+    ``EXP_FIRST_CELLS`` cells (all of them up to n = 11, one from n = 14
+    on), and each later batch twice as many, up to ``EXP_GATE_BYTES`` of
+    rows (one family per batch from n = 22 on).  So a clean input pays one
+    batch up to n = 11 and about log2(n) batches from then on, and from
+    n = 14 an input whose first large family is open pays for one row.
 
     Cost: on a clean input O(n^2 2^n) time and O(2^n) memory; an open
     family of k menus adds up to k^2 / 2 pair tests in blocks, cut short
@@ -123,8 +128,12 @@ def check_exp(cf: ChoiceFunction, cap: int = DEFAULT_VIOLATION_CAP) -> AxiomVerd
 #: Largest family that ``check_exp`` scans pair by pair in Python (at most
 #: 120 pairs); below it numpy's per-call cost is more than the loop's.
 EXP_SMALL_FAMILY = 16
-#: Byte budget of one batch of ``check_exp`` gate transforms: one int32 row
-#: of 2^(n-1) entries per family, and at least one row (32 MiB at n = 24).
+#: Cells in the first batch of ``check_exp`` gate transforms: one int32 row
+#: of 2^(n-1) cells per family, and at least one row.  All 11 rows at
+#: n = 11, 5 at n = 12, 2 at n = 13, then one.
+EXP_FIRST_CELLS = 11 << 10
+#: Byte budget of a later batch of gate transforms, and at least one row
+#: (32 MiB at n = 24).
 EXP_GATE_BYTES = 1 << 23
 #: Pairs in the first and in the largest block of the numpy scan of an open
 #: family; blocks double in between, so an early witness comes cheap.
@@ -145,7 +154,7 @@ def _exp_witnesses(cf: ChoiceFunction) -> Iterator[tuple]:
     else:
         families, pick = _exp_families(table, n), table.item
     closed: dict[int, bool] = {}
-    batch = 1
+    batch = max(1, EXP_FIRST_CELLS >> (n - 1))
     for x, menus in enumerate(families):
         if len(menus) <= EXP_SMALL_FAMILY:
             yield from _exp_scan_python(ground, pick, x, menus)
@@ -232,11 +241,20 @@ def _union_closed_families(table: np.ndarray, xs: list[int], families: list) -> 
 def _subset_zeta(values: np.ndarray, op: np.ufunc) -> None:
     """Yates' subset (zeta) transform in place along axis 0, of length 2^k:
     values[s] becomes ``op`` folded over values[t] for every t inside s.
-    One pass per bit, k 2^(k-1) applications of ``op`` per column."""
-    bit = 1
+    One pass per bit, k 2^(k-1) applications of ``op`` per column.
+
+    A pass pairs runs of ``bit`` rows.  numpy loops innermost over a run,
+    so where a run holds fewer than 8 values (the low bits of a table with
+    few columns) the pass is run on the reversed axes in C order, looping
+    over the 2^k / (2 bit) runs instead (on one column, the whole transform
+    runs about twice as fast at k = 12-20)."""
+    row, bit = values[:1].size, 1
     while bit < len(values):
         half = values.reshape(-1, 2, bit, *values.shape[1:])
-        op(half[:, 1], half[:, 0], out=half[:, 1])
+        high, low = half[:, 1], half[:, 0]
+        if bit * row < 8:
+            high, low = high.T, low.T
+        op(high, low, out=high, order="C")
         bit <<= 1
 
 
@@ -333,14 +351,40 @@ def _spr_witnesses(cf: ChoiceFunction, report: RevealedReport) -> Iterator[tuple
 
 
 def check_iia(cf: ChoiceFunction, cap: int = DEFAULT_VIOLATION_CAP) -> AxiomVerdict:
-    """IIA: removing unchosen options never changes the choice."""
+    """IIA: removing unchosen options never changes the choice.
+
+    Witnesses (A, B) pair a menu A with a proper submenu B that holds
+    x = c(A) but chooses otherwise, listed by ascending A, then descending
+    B.  A table of at most 2 * ``EXP_SMALL_FAMILY`` entries is walked
+    menu by menu.  A larger one is gated first (``_iia_open_menus``): a
+    subset-OR transform finds the open menus, those with a witness, and
+    only they are walked, so a capped scan walks at most cap + 1 menus.
+    The transform runs on prefixes of the table that grow 8-fold, so a
+    scan that reaches the cap early transforms a short prefix only.
+
+    Cost: O(n 2^n) time and O(2^n) memory for the gate, plus the walks of
+    the open menus, 2^(|A| - 1) steps each.
+    """
     return _verdict("IIA", _iia_witnesses(cf), cap)
 
 
+#: Menus in the first prefix the IIA gate transforms (a power of two); each
+#: later prefix is 8 times longer, up to the table, so a scan that stops at
+#: the cap early pays for a short prefix, and a full scan for at most 1.6
+#: transforms of the table.
+IIA_FIRST_MENUS = 1 << 6
+#: Most menus the IIA gate tests for witnesses at once.
+IIA_SCAN_BLOCK = 1 << 14
+
+
 def _iia_witnesses(cf: ChoiceFunction) -> Iterator[tuple]:
-    ground = cf.ground
-    choices = cf.table.tolist()
-    for mask in range(1, ground.full_mask + 1):
+    ground, table = cf.ground, cf.table
+    if table.size <= 2 * EXP_SMALL_FAMILY:
+        menus, choices = range(1, table.size), table.tolist()
+    else:
+        # A memoryview reads one pick as an int without a 2^n list.
+        menus, choices = _iia_open_menus(table), memoryview(table)
+    for mask in menus:
         chosen = choices[mask]
         bit = 1 << chosen
         rest = sub = mask ^ bit  # proper submenus holding the choice: sub | bit, sub < rest
@@ -348,6 +392,33 @@ def _iia_witnesses(cf: ChoiceFunction) -> Iterator[tuple]:
             sub = (sub - 1) & rest
             if choices[sub | bit] != chosen:
                 yield (ground.menu_key(mask), ground.menu_key(sub | bit))
+
+
+def _iia_open_menus(table: np.ndarray) -> Iterator[int]:
+    """The menus A with an IIA witness, ascending.
+
+    With u[B] = B minus its choice, a subset-OR (zeta) transform gives
+    U[A], the union of u[B] over the submenus B of A.  Some B inside A
+    holds x = c(A) and chooses otherwise iff bit x is in U[A]: A itself
+    adds nothing, as u[A] lacks x.  The submenus of a menu below 2^k are
+    below 2^k, so the transform runs on prefixes of 2^k menus, k growing
+    by 3 (``IIA_FIRST_MENUS``).  The OR transform is idempotent, so
+    running it again on a longer prefix leaves the part already
+    transformed as it was.  Each new part is listed in blocks of at most
+    ``IIA_SCAN_BLOCK`` menus.
+    """
+    bits = table.astype(np.int32)
+    np.left_shift(1, bits, out=bits)  # entry 0 (-1) shifts to 0
+    span = np.arange(table.size, dtype=np.int32)
+    span ^= bits
+    start, end = 0, IIA_FIRST_MENUS
+    while start < table.size:
+        end = min(end, table.size)
+        _subset_zeta(span[:end], np.bitwise_or)
+        for lo in range(start, end, IIA_SCAN_BLOCK):
+            hi = min(lo + IIA_SCAN_BLOCK, end)
+            yield from (np.flatnonzero(span[lo:hi] & bits[lo:hi]) + lo).tolist()
+        start, end = end, end << 3
 
 
 def check_all(cf: ChoiceFunction, report: RevealedReport | None = None,

@@ -30,6 +30,7 @@ from .core import (
     MalformedKeyError,
     _choice_texts,
     enumerate_tables,
+    indented_json,
     parse_choice_function,
     parse_structure_json,
 )
@@ -150,7 +151,7 @@ def cmd_check_axioms(args: argparse.Namespace) -> int:
         raise InvalidRangeError(f"--cap must be nonnegative, got {args.cap}")
     cf = _load_choice(args)
     verdicts = check_all(cf, cap=args.cap)
-    _emit(json.dumps([v.to_dict() for v in verdicts], indent=2) + "\n", args.out)
+    _emit(indented_json([v.to_dict() for v in verdicts]), args.out)
     core = {"Exp", "NRS", "IR", "SPR"}
     return 1 if any(not v.holds for v in verdicts if v.axiom in core) else 0
 
@@ -163,7 +164,7 @@ def cmd_reveal(args: argparse.Namespace) -> int:
         doc["definition_cross_check"] = {
             k: [list(p) for p in v] for k, v in reaction_crosscheck(cf, report).items()
         }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit(indented_json(doc), args.out)
     else:
         _emit(report.to_json(), args.out)
     return 0
@@ -179,7 +180,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
             "message": str(exc),
             "verdicts": [v.to_dict() for v in exc.verdicts],
         }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit(indented_json(doc), args.out)
         return 1
     certificate = certify_single_peaked(structure)
     _emit(synthesis_report_json(structure, certificate, trace), args.out)
@@ -230,7 +231,7 @@ def cmd_simulate_culture(args: argparse.Namespace) -> int:
     doc = outcome.to_dict()
     if args.consistency_grid is not None:
         doc["consistency"] = culture_rsc_consistency(params, args.consistency_grid).to_dict()
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(indented_json(doc), args.out)
     return 0
 
 

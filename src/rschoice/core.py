@@ -48,6 +48,11 @@ reads the C(n, 3) triple menus with one ``table.take`` over a mask array
 cached per n and visits each triple once, testing its unchosen options
 against ``beats``.  None of them touches the rest of the table.
 ``choices``, the picks as a tuple of ints, is read by no module here.
+
+Every indented JSON report (axiom verdicts, reveal, synthesis, welfare,
+structure files, media and culture outcomes) is written by
+``indented_json``, the bytes of ``json.dumps(doc, indent=2)`` built by one
+join per container instead of ``json``'s pure-Python indenting encoder.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, product
-from json.encoder import encode_basestring_ascii
+from json.encoder import INFINITY, encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Iterator
 
@@ -600,6 +605,60 @@ def structure_doc(structure) -> dict:
     }
 
 
+def indented_json(doc) -> str:
+    """``json.dumps(doc, indent=2)`` and a newline: the text of every JSON
+    report.  Strings, ints, floats, bools, None, and lists, tuples and
+    dicts with string keys of these, are written by ``_indented``; for any
+    other value the whole document goes through ``json.dumps``, so the
+    bytes (or the error raised) are the same."""
+    try:
+        return _indented(doc, "\n") + "\n"
+    except (TypeError, RecursionError):
+        return json.dumps(doc, indent=2) + "\n"
+
+
+def _indented(value, newline: str) -> str:
+    """``value`` as ``json.dumps(..., indent=2)`` writes it at the depth
+    where a line break is followed by ``newline[1:]``; ``TypeError`` for a
+    value it does not handle.  Strings, the most common members, are
+    encoded in place without a call."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [encode_basestring_ascii(v) if type(v) is str else _indented(v, inner)
+                 for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        # ``encode_basestring_ascii`` raises TypeError for a key that is not a str.
+        items = [encode_basestring_ascii(k) + ": " + (
+            encode_basestring_ascii(v) if type(v) is str else _indented(v, inner))
+            for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == INFINITY:
+            return "Infinity"
+        if value == -INFINITY:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"{type(value).__name__} is written by json.dumps")
+
+
 #: Choice tables ``_choice_texts`` maps to label cells at once, which
 #: bounds the object array of cells and its row lists (about 1 MB for
 #: four options).
@@ -833,4 +892,4 @@ def parse_structure_json(text: bytes | str):
 
 
 def serialize_structure_json(structure) -> str:
-    return json.dumps(structure_doc(structure), indent=2) + "\n"
+    return indented_json(structure_doc(structure))

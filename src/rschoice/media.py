@@ -29,12 +29,11 @@ bit for bit as on the scalar path.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChoiceModelError
+from .core import ChoiceModelError, indented_json
 from .structure import two_stage_choice
 
 
@@ -108,7 +107,7 @@ class MediaOutcome:
                 k: {"u": u, "v": v} for k, (u, v) in sorted(self.expected_payoffs.items())
             },
         }
-        return json.dumps(doc, indent=2) + "\n"
+        return indented_json(doc)
 
 
 def _signal_probability(rows, p: float, signal: int) -> float:

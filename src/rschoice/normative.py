@@ -26,7 +26,6 @@ pairs, and its open pairs from one broadcast comparison per block of rows.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -40,7 +39,7 @@ from .axioms import (
     _subset_zeta,
     _verdict,
 )
-from .core import ChoiceFunction, ChoiceModelError, GroundSet, iter_bits
+from .core import ChoiceFunction, ChoiceModelError, GroundSet, indented_json, iter_bits
 from .revealed import BinaryRelation, single_deletion_switches
 from .structure import RSStructure, SinglePeakedCertificate, certify_single_peaked, minimal_structure
 
@@ -86,7 +85,7 @@ class WelfareReport:
             "pr": [[a, b] for a, b in self.pr.pairs()],
             "comparisons": self.comparisons,
         }
-        return json.dumps(doc, indent=2) + "\n"
+        return indented_json(doc)
 
 
 def welfare_improving(
@@ -155,17 +154,31 @@ def improving_from_structure(
     return rel.transitive_closure() if transitive_closure else rel
 
 
+#: Menus per block of ``bernheim_rangel_pstar``'s sort: at n = 24 one sort
+#: of the whole table would take a 128 MB index array and as much again
+#: for the sort's own buffer.
+PSTAR_BLOCK = 1 << 16
+
+
 def bernheim_rangel_pstar(cf: ChoiceFunction) -> BinaryRelation:
     """x over y iff x is sometimes chosen with y feasible and y is never
     chosen with x feasible.  Asymmetric by construction.  The options x is
-    chosen against are one OR-reduce of the menus where ``cf.table == x``."""
-    ground = cf.ground
+    chosen against are the OR of the menus choosing x: per block of
+    ``PSTAR_BLOCK`` menus (one block up to n = 16), one stable argsort
+    groups the menus by choice and one ``reduceat`` ORs each group."""
+    ground, table = cf.ground, cf.table
     n = ground.size
-    masks = np.arange(1 << n, dtype=np.int32)
-    # bit y: x chosen from some menu containing y
-    chosen_against = [
-        int(np.bitwise_or.reduce(masks, where=cf.table == x)) & ~(1 << x) for x in range(n)
-    ]
+    # bit y: x chosen from some menu containing y (bit x is never read)
+    chosen_against = [0] * n
+    for start in range(0, table.size, PSTAR_BLOCK):
+        block = table[start:start + PSTAR_BLOCK]
+        menus = np.argsort(block, kind="stable")
+        picks = block[menus]
+        first = np.concatenate(([0], np.flatnonzero(picks[1:] != picks[:-1]) + 1))
+        for x, mask in zip(picks[first].tolist(), np.bitwise_or.reduceat(menus, first).tolist()):
+            if x >= 0:  # not the empty menu
+                # Menus of a block are start plus an offset below start's low bit.
+                chosen_against[x] |= start | mask
     rows = [0] * n
     for x in range(n):
         for y in range(n):

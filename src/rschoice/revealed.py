@@ -20,14 +20,20 @@ one option off the table in one numpy pass per removed option;
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from .core import MAX_GROUND_SIZE, ChoiceFunction, GroundSet, TypePartition, iter_bits
+from .core import (
+    MAX_GROUND_SIZE,
+    ChoiceFunction,
+    GroundSet,
+    TypePartition,
+    indented_json,
+    iter_bits,
+)
 
 
 @dataclass(frozen=True)
@@ -99,7 +105,7 @@ class RevealedReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return indented_json(self.to_dict())
 
 
 def reveal_binary(cf: ChoiceFunction) -> BinaryRelation:

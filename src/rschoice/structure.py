@@ -25,7 +25,6 @@ threshold/peak identities against the reaction relation.
 
 from __future__ import annotations
 
-import json
 from bisect import insort
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -39,6 +38,7 @@ from .core import (
     GroundSetTooLargeError,
     LinearOrder,
     TypePartition,
+    indented_json,
     iter_bits,
     structure_doc,
 )
@@ -547,4 +547,4 @@ def synthesis_report_json(structure: RSStructure, certificate: SinglePeakedCerti
         "certificate": certificate.to_dict(),
         "trace": trace.to_dict(),
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return indented_json(doc)

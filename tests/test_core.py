@@ -27,6 +27,7 @@ from rschoice.core import (
     enumerate_choice_functions,
     enumerate_menus,
     enumerate_tables,
+    indented_json,
     parse_choice_function,
     serialize_choice_function,
 )
@@ -229,6 +230,43 @@ def test_writers_match_json_dumps_and_csv_writer(labels, seed, limit):
     tables = enumerate_tables(ground)[:limit]
     assert printed.getvalue() == "".join(json.dumps(choice_function_doc(ground, t)) + "\n"
                                          for t in tables)
+
+
+#: JSON leaves: NaN, infinities, -0.0, numpy floats, ints past 64 bits,
+#: and text with non-ASCII, control and escaped characters.
+JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2**80)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([-0.0, 0.0])
+    | st.floats().map(np.float64) | st.text(st.characters(codec="utf-8"), max_size=4)
+    | st.text(st.sampled_from('a\u00e9\u2603\U0001f600"\\\x00\x1f\x7f\n\t'), max_size=4)
+)
+JSON_DOCS = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=JSON_DOCS)
+def test_indented_json_matches_json_dumps(doc):
+    assert indented_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [{1: "int key"}, {"a": {None: [1.5]}}, [{2.5: [], True: 0}]])
+def test_indented_json_writes_other_keys_through_json_dumps(doc):
+    assert indented_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_indented_json_raises_what_json_dumps_raises():
+    for doc in ([object()], {(1, 2): 3}, [np.int64(3)], {"x": np.bool_(True)}):
+        with pytest.raises(TypeError):
+            indented_json(doc)
+    loop = []
+    loop.append(loop)
+    with pytest.raises(ValueError, match="Circular reference"):
+        indented_json(loop)
 
 
 def test_partition_validation():

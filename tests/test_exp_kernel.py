@@ -10,6 +10,8 @@ blocks and several gate batches.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -29,18 +31,22 @@ from rschoice.core import (
     choice_from_order,
     enumerate_choice_functions,
 )
-from rschoice.generators import ground_of_size
+from rschoice.generators import ground_of_size, random_single_peaked_structure
+from rschoice.structure import evaluate
 
 from conftest import mixed_choice_function
 from test_gates import exp_reference
 
-#: Constant overrides: shipped values; every family through numpy with
-#: one-row scan blocks and one-family gate batches; every family gated in
-#: one batch.
+#: Constant overrides: shipped values (on at most 9 options, one gate
+#: batch); gate batches of 1, 2, 4, ... families, as from 14 options on;
+#: every family through numpy with one-row scan blocks and one-family gate
+#: batches; every family gated in one batch.
 SETTINGS = {
     "shipped": {},
-    "tiny": {"EXP_SMALL_FAMILY": 2, "EXP_SCAN_FIRST": 1, "EXP_SCAN_BLOCK": 64, "EXP_GATE_BYTES": 0},
-    "one-batch": {"EXP_SMALL_FAMILY": 0, "EXP_GATE_BYTES": 1 << 30},
+    "doubling": {"EXP_FIRST_CELLS": 0},
+    "tiny": {"EXP_SMALL_FAMILY": 2, "EXP_SCAN_FIRST": 1, "EXP_SCAN_BLOCK": 64,
+             "EXP_FIRST_CELLS": 0, "EXP_GATE_BYTES": 0},
+    "one-batch": {"EXP_SMALL_FAMILY": 0, "EXP_FIRST_CELLS": 1 << 30},
 }
 
 
@@ -71,8 +77,8 @@ def test_exp_lists_the_reference_witnesses_and_capped_prefixes(rng, monkeypatch,
         open_labels = {w[2] for w in reference}
         blocks += any(len(m) * (len(m) - 1) // 2 > 4 * axioms.EXP_SCAN_FIRST
                       and cf.ground.options[cf.table[m[0]]] in open_labels for m in large)
-    # Some input had 4+ large families (3+ gate batches), and some open
-    # family spanned 3+ scan blocks.
+    # Some input had 4+ large families (3+ gate batches when doubling), and
+    # some open family spanned 3+ scan blocks.
     assert batches >= 4 and blocks > 0
 
 
@@ -121,9 +127,8 @@ def test_subset_zeta_transforms_each_column_along_axis_0():
                 assert single.tolist() == expect
 
 
-def test_an_open_first_family_pays_for_one_gate_row(monkeypatch):
-    """Once the cap is reached inside the first large family, no other
-    family is gated: the first batch holds that family alone."""
+def _recorded_gate_batches(monkeypatch) -> list:
+    """The options of each gate batch ``check_exp`` runs from now on."""
     batches = []
 
     def gate(table, xs, families):
@@ -131,7 +136,15 @@ def test_an_open_first_family_pays_for_one_gate_row(monkeypatch):
         return _union_closed_families(table, xs, families)
 
     monkeypatch.setattr(axioms, "_union_closed_families", gate)
-    ground = ground_of_size(10)
+    return batches
+
+
+def test_an_open_first_family_pays_for_one_gate_row(monkeypatch):
+    """From 14 options on, once the cap is reached inside the first large
+    family, no other family is gated: the first batch holds that family
+    alone."""
+    batches = _recorded_gate_batches(monkeypatch)
+    ground = ground_of_size(14)
     table = choice_from_order(LinearOrder(ground, ground.options)).table.tolist()
     table[0b111] = 1  # {o0, o1} and {o0, o2} choose o0, their union o1
     cf = ChoiceFunction(ground, table)
@@ -140,6 +153,17 @@ def test_an_open_first_family_pays_for_one_gate_row(monkeypatch):
     assert batches == [[0]]
     assert check_exp(cf, cap=1).violations == (("o0,o1", "o0,o2", "o0", "o1"),)
     assert len(batches) > 2
+
+
+@pytest.mark.parametrize("size", [10, 11])
+def test_a_clean_input_up_to_11_options_gates_every_large_family_in_one_batch(monkeypatch, size):
+    batches = _recorded_gate_batches(monkeypatch)
+    for seed in range(4):
+        cf = evaluate(random_single_peaked_structure(random.Random(seed), ground_of_size(size)))
+        large = [x for x, m in enumerate(_exp_families(cf.table, size)) if not isinstance(m, list)]
+        batches.clear()
+        assert check_exp(cf).holds
+        assert batches == [large] and len(large) > 1
 
 
 @pytest.mark.parametrize("cap", [0, 1, 16])

@@ -20,6 +20,7 @@ import random
 import numpy as np
 import pytest
 
+from rschoice import normative
 from rschoice.core import (
     ChoiceFunction,
     ChoiceModelError,
@@ -141,6 +142,16 @@ def test_table_kernels_match_their_references(size):
         assert bernheim_rangel_pstar(cf).rows == pstar_rows_reference(cf), (kind, cf.choices)
         switching += any(switches[0])
     assert switching > 0 or size == 2  # two options leave nothing to switch to
+
+
+@pytest.mark.parametrize("size", [5, 8])
+def test_pstar_in_blocks_of_eight_menus_matches_the_reference(monkeypatch, size):
+    """``bernheim_rangel_pstar`` sorts one block of menus at a time, a
+    single block below 17 options; with 8-menu blocks small inputs cross
+    many, and each block's menus are its start plus an offset."""
+    monkeypatch.setattr(normative, "PSTAR_BLOCK", 8)
+    for kind, cf in _cases(size):
+        assert bernheim_rangel_pstar(cf).rows == pstar_rows_reference(cf), (kind, cf.choices)
 
 
 @pytest.mark.parametrize("size", [*range(2, 9), 12])
