@@ -17,18 +17,18 @@ generates the counterexample fixtures showing shortlist choice escapes
 NRS and SPR.
 
 Expansion runs on the int8 choice table as whole-array numpy work: one
-stable argsort groups the menus by chosen option, batched subset-OR
-transforms skip every family closed under union (O(n 2^n) per family,
-O(2^n) memory), and an open family is pair-scanned in bounded blocks that
-stop at the cap.  Only families of at most 16 menus, and every family
-below six options, are scanned pair by pair in Python.  NRS, IR and SPR
-read only ``ChoiceFunction.beats``, the n pairwise-choice rows (O(n^2) to
-build, once per function): each scan is O(n^3) bit tests plus O(n) per
-witness listed.  IIA is gated too: a subset-OR transform over growing
-prefixes of the table (O(n 2^n) in all, O(2^n) memory) finds the menus
-that have a witness, and only those are walked, submenu by submenu, in
-Python; tables of at most 32 entries skip the transform, as Expansion's
-do.
+stable argsort groups the menus by chosen option, a family whose union is
+chosen otherwise is open at once, batched subset-OR transforms skip every
+other family closed under union (O(n 2^n) per family, O(2^n) memory), and
+an open family is pair-scanned in bounded blocks that stop at the cap.
+Only families of at most 16 menus, and every family below six options, are
+scanned pair by pair in Python.  NRS, IR and SPR read only
+``ChoiceFunction.beats``, the n pairwise-choice rows (O(n^2) to build, once
+per function): each scan is O(n^3) bit tests plus O(n) per witness listed.
+IIA is gated too: a subset-OR transform over growing prefixes of the table
+(O(n 2^n) in all, O(2^n) memory) finds the menus that have a witness, and
+only those are walked, submenu by submenu, in Python; tables of at most 32
+entries skip the transform, as Expansion's do.
 """
 
 from __future__ import annotations
@@ -106,16 +106,13 @@ def check_exp(cf: ChoiceFunction, cap: int = DEFAULT_VIOLATION_CAP) -> AxiomVerd
     menus choosing x form a family F_x (one stable argsort of the table
     groups them), and Expansion fails inside F_x exactly when F_x is not
     closed under union.  A family of at most ``EXP_SMALL_FAMILY`` menus is
-    scanned pair by pair in Python.  A larger one is first tested for
-    closure by a subset-OR transform over the 2^(n-1) menus holding x
-    (``_union_closed_families``); a closed family is skipped, and an open
-    one is scanned with numpy, one block of pairs at a time.  The first
-    batch of transforms takes every large family whose int32 rows fit in
-    ``EXP_FIRST_CELLS`` cells (all of them up to n = 11, one from n = 14
-    on), and each later batch twice as many, up to ``EXP_GATE_BYTES`` of
-    rows (one family per batch from n = 22 on).  So a clean input pays one
-    batch up to n = 11 and about log2(n) batches from then on, and from
-    n = 14 an input whose first large family is open pays for one row.
+    scanned pair by pair in Python.  A larger family closed under union
+    holds its own union, so one whose union is chosen otherwise is open and
+    goes straight to the numpy scan, one block of pairs at a time.  Every
+    other large family is tested for closure by a subset-OR transform over
+    the 2^(n-1) menus holding x (``_union_closed_families``), in batches of
+    up to ``EXP_GATE_BYTES`` of rows (all of them in one batch up to
+    n = 17); a closed family is skipped, an open one scanned.
 
     Cost: on a clean input O(n^2 2^n) time and O(2^n) memory; an open
     family of k menus adds up to k^2 / 2 pair tests in blocks, cut short
@@ -128,12 +125,8 @@ def check_exp(cf: ChoiceFunction, cap: int = DEFAULT_VIOLATION_CAP) -> AxiomVerd
 #: Largest family that ``check_exp`` scans pair by pair in Python (at most
 #: 120 pairs); below it numpy's per-call cost is more than the loop's.
 EXP_SMALL_FAMILY = 16
-#: Cells in the first batch of ``check_exp`` gate transforms: one int32 row
-#: of 2^(n-1) cells per family, and at least one row.  All 11 rows at
-#: n = 11, 5 at n = 12, 2 at n = 13, then one.
-EXP_FIRST_CELLS = 11 << 10
-#: Byte budget of a later batch of gate transforms, and at least one row
-#: (32 MiB at n = 24).
+#: Byte budget of a batch of ``check_exp`` gate transforms: one int32 row of
+#: 2^(n-1) cells per family, and at least one row (32 MiB at n = 24).
 EXP_GATE_BYTES = 1 << 23
 #: Pairs in the first and in the largest block of the numpy scan of an open
 #: family; blocks double in between, so an early witness comes cheap.
@@ -143,6 +136,8 @@ EXP_SCAN_FIRST, EXP_SCAN_BLOCK = 1 << 10, 1 << 16
 def _exp_witnesses(cf: ChoiceFunction) -> Iterator[tuple]:
     ground, table = cf.ground, cf.table
     n = ground.size
+    closed: dict[int, bool] = {}
+    gated: list[int] = []
     if table.size <= 2 * EXP_SMALL_FAMILY:
         # Below six options every family is small, and the picks as a list
         # cost less to build and to read than the argsort and ``item``.
@@ -153,17 +148,22 @@ def _exp_witnesses(cf: ChoiceFunction) -> Iterator[tuple]:
         pick = choices.__getitem__
     else:
         families, pick = _exp_families(table, n), table.item
-    closed: dict[int, bool] = {}
-    batch = max(1, EXP_FIRST_CELLS >> (n - 1))
+        # A family closed under union holds its own union: if that is
+        # chosen otherwise, the family is open and needs no gate row.
+        for x, menus in enumerate(families):
+            if len(menus) > EXP_SMALL_FAMILY:
+                if pick(np.bitwise_or.reduce(menus)) == x:
+                    gated.append(x)
+                else:
+                    closed[x] = False
     for x, menus in enumerate(families):
         if len(menus) <= EXP_SMALL_FAMILY:
             yield from _exp_scan_python(ground, pick, x, menus)
             continue
         if x not in closed:
-            # The next batch: this family and the large ones after it.
-            xs = [y for y in range(x, n) if len(families[y]) > EXP_SMALL_FAMILY][:batch]
+            # The next batch: this family and the gated ones after it.
+            xs = gated[gated.index(x):][:max(1, EXP_GATE_BYTES >> (n + 1))]
             closed.update(zip(xs, _union_closed_families(table, xs, [families[y] for y in xs])))
-            batch = min(2 * batch, max(1, EXP_GATE_BYTES >> (n + 1)))
         if not closed[x]:
             yield from _exp_scan_numpy(ground, table, x, menus)
 
@@ -172,12 +172,13 @@ def _exp_families(table: np.ndarray, n: int) -> list:
     """The menus choosing each option, ascending, grouped by one stable
     argsort: a list of ints for a family of at most ``EXP_SMALL_FAMILY``
     menus, an int32 array for a larger one."""
-    order = np.argsort(table, kind="stable").astype(np.int32)  # the empty menu first
-    families, start = [], 1
-    for end in (np.cumsum(np.bincount(table[1:], minlength=n)) + 1).tolist():
+    order = np.argsort(table, kind="stable")  # the empty menu first
+    bounds = np.searchsorted(table.take(order), np.arange(n + 1, dtype=table.dtype)).tolist()
+    order = order.astype(np.int32)
+    families = []
+    for start, end in zip(bounds, bounds[1:]):
         menus = order[start:end]
         families.append(menus.tolist() if menus.size <= EXP_SMALL_FAMILY else menus)
-        start = end
     return families
 
 

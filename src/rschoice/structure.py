@@ -16,9 +16,10 @@ Expansion, NRS and IR it constructs a rationalizing structure whose types
 are the revealed similarity classes.  One sort per type gives its reaction
 order: by how many dissimilar options each member beats, ties by revealed
 choice, reversed inside the threshold-to-peak band; the welfare order
-merges the per-type revealed chains.  ``certify_single_peaked`` searches
-each type for a threshold above which the two orders agree and below which
-the reaction order is single-peaked in the welfare order.
+merges the per-type revealed chains.  ``certify_single_peaked`` takes the
+threshold of each type at the end of the welfare prefix on which the two
+orders agree, and checks that the reaction order is single-peaked in the
+welfare order below it.
 ``minimal_structure`` ties both together and cross-checks the canonical
 threshold/peak identities against the reaction relation.
 """
@@ -409,11 +410,6 @@ def _linear_extension(
 # ---------------------------------------------------------------------------
 
 
-def _upper_agrees(chain: list[int], r2: list[int], split: int) -> bool:
-    """True when the reaction order matches welfare on chain[:split+1]."""
-    return all(r2[chain[k]] < r2[chain[k + 1]] for k in range(split))
-
-
 def _lower_violation(chain: list[int], r2: list[int], split: int) -> tuple[int, int, int] | None:
     """First welfare-ordered triple of chain[split:] whose middle option is
     reaction-worst, or None.  The chain is welfare-best-first."""
@@ -429,13 +425,14 @@ def _lower_violation(chain: list[int], r2: list[int], split: int) -> tuple[int, 
 
 
 def certify_single_peaked(s: RSStructure) -> SinglePeakedCertificate:
-    """Search each type for a valid threshold, welfare-minimal if any.
+    """The welfare-minimal valid threshold of each type, if any.
 
     A candidate passes when the two orders agree on the weakly-above
     interval and the reaction order is single-peaked with respect to
-    welfare on the weakly-below interval.  Candidates are tried from the
-    welfare-minimum upward so the reported threshold is the deepest valid
-    one; only existence is required for verification.
+    welfare on the weakly-below interval.  The first condition holds down
+    to the end of the prefix on which the orders agree, and the second,
+    once it holds, holds for every candidate below: so the deepest
+    candidate that agrees is the only one to test.
     """
     ground = s.ground
     r2 = s.reaction_pref.ranks()
@@ -443,22 +440,14 @@ def certify_single_peaked(s: RSStructure) -> SinglePeakedCertificate:
     peaks: dict[tuple[str, ...], str] = {}
     violations: list[tuple[tuple[str, ...], tuple[str, str, str]]] = []
     for block, chain in zip(s.types.blocks, _kernel_inputs(s)[0]):
-        found = False
-        for split in range(len(chain) - 1, -1, -1):
-            if not _upper_agrees(chain, r2, split):
-                continue
-            if _lower_violation(chain, r2, split) is None:
-                thresholds[block] = ground.options[chain[split]]
-                lower = chain[split:]
-                peaks[block] = ground.options[min(lower, key=r2.__getitem__)]
-                found = True
-                break
-        if not found:
+        split = next((k for k in range(len(chain) - 1) if r2[chain[k]] > r2[chain[k + 1]]),
+                     len(chain) - 1)
+        if _lower_violation(chain, r2, split) is None:
+            thresholds[block] = ground.options[chain[split]]
+            peaks[block] = ground.options[min(chain[split:], key=r2.__getitem__)]
+        else:
             triple = _lower_violation(chain, r2, 0)
-            assert triple is not None, "threshold at the welfare top cannot fail otherwise"
-            violations.append(
-                (block, tuple(ground.options[i] for i in triple))
-            )
+            violations.append((block, tuple(ground.options[i] for i in triple)))
     return SinglePeakedCertificate(
         thresholds=thresholds,
         peaks=peaks,

@@ -31,22 +31,23 @@ from rschoice.core import (
     choice_from_order,
     enumerate_choice_functions,
 )
-from rschoice.generators import ground_of_size, random_single_peaked_structure
+from rschoice.generators import (
+    ground_of_size,
+    random_choice_function,
+    random_single_peaked_structure,
+)
 from rschoice.structure import evaluate
 
 from conftest import mixed_choice_function
 from test_gates import exp_reference
 
 #: Constant overrides: shipped values (on at most 9 options, one gate
-#: batch); gate batches of 1, 2, 4, ... families, as from 14 options on;
-#: every family through numpy with one-row scan blocks and one-family gate
-#: batches; every family gated in one batch.
+#: batch); every family through numpy with one-row scan blocks and
+#: one-family gate batches.
 SETTINGS = {
     "shipped": {},
-    "doubling": {"EXP_FIRST_CELLS": 0},
     "tiny": {"EXP_SMALL_FAMILY": 2, "EXP_SCAN_FIRST": 1, "EXP_SCAN_BLOCK": 64,
-             "EXP_FIRST_CELLS": 0, "EXP_GATE_BYTES": 0},
-    "one-batch": {"EXP_SMALL_FAMILY": 0, "EXP_FIRST_CELLS": 1 << 30},
+             "EXP_GATE_BYTES": 0},
 }
 
 
@@ -77,8 +78,8 @@ def test_exp_lists_the_reference_witnesses_and_capped_prefixes(rng, monkeypatch,
         open_labels = {w[2] for w in reference}
         blocks += any(len(m) * (len(m) - 1) // 2 > 4 * axioms.EXP_SCAN_FIRST
                       and cf.ground.options[cf.table[m[0]]] in open_labels for m in large)
-    # Some input had 4+ large families (3+ gate batches when doubling), and
-    # some open family spanned 3+ scan blocks.
+    # Some input had 4+ large families, and some open family spanned 3+
+    # scan blocks.
     assert batches >= 4 and blocks > 0
 
 
@@ -139,31 +140,59 @@ def _recorded_gate_batches(monkeypatch) -> list:
     return batches
 
 
-def test_an_open_first_family_pays_for_one_gate_row(monkeypatch):
-    """From 14 options on, once the cap is reached inside the first large
-    family, no other family is gated: the first batch holds that family
-    alone."""
+def test_the_gate_never_sees_a_family_whose_union_is_chosen_otherwise(monkeypatch):
+    """On a uniform 14-option input every family's union is the whole
+    ground set, chosen for one option only: only that family is gated, and
+    the gate finds it open too.  The numpy scan is stubbed out, so the
+    check runs through every family."""
+    batches = _recorded_gate_batches(monkeypatch)
+    scanned = []
+
+    def scan(ground, table, x, menus):
+        scanned.append(x)
+        return iter(())
+
+    monkeypatch.setattr(axioms, "_exp_scan_numpy", scan)
+    cf = random_choice_function(random.Random(3), ground_of_size(14))
+    unions = [cf.table.item(np.bitwise_or.reduce(m)) for m in _exp_families(cf.table, 14)]
+    top = cf.table.item(-1)  # the choice from the whole ground set
+    check_exp(cf)
+    assert unions == [top] * 14 and batches == [[top]]
+    assert scanned == list(range(14))
+
+
+def test_an_open_family_holding_its_union_is_decided_in_one_gate_batch(monkeypatch):
+    """{o0, o1} and {o0, o2} choose o0 and their union o1, yet the union of
+    the o0 family, the whole ground set, is chosen for o0: the gate decides
+    it, in one batch with every family whose union is chosen for it."""
     batches = _recorded_gate_batches(monkeypatch)
     ground = ground_of_size(14)
     table = choice_from_order(LinearOrder(ground, ground.options)).table.tolist()
-    table[0b111] = 1  # {o0, o1} and {o0, o2} choose o0, their union o1
+    table[0b111] = 1
     cf = ChoiceFunction(ground, table)
     verdict = check_exp(cf, cap=0)
     assert (verdict.holds, verdict.violations, verdict.truncated) == (False, (), True)
-    assert batches == [[0]]
+    assert batches == [[0, 2, 3, 4, 5, 6, 7, 8]]  # o1's family holds o0,o1,o2: open by its union
     assert check_exp(cf, cap=1).violations == (("o0,o1", "o0,o2", "o0", "o1"),)
-    assert len(batches) > 2
 
 
-@pytest.mark.parametrize("size", [10, 11])
-def test_a_clean_input_up_to_11_options_gates_every_large_family_in_one_batch(monkeypatch, size):
-    batches = _recorded_gate_batches(monkeypatch)
+def _assert_clean_inputs_gate_in_one_batch(batches, size: int) -> None:
     for seed in range(4):
         cf = evaluate(random_single_peaked_structure(random.Random(seed), ground_of_size(size)))
         large = [x for x, m in enumerate(_exp_families(cf.table, size)) if not isinstance(m, list)]
         batches.clear()
         assert check_exp(cf).holds
         assert batches == [large] and len(large) > 1
+
+
+@pytest.mark.parametrize("size", [10, 11])
+def test_a_clean_input_up_to_11_options_gates_every_large_family_in_one_batch(monkeypatch, size):
+    _assert_clean_inputs_gate_in_one_batch(_recorded_gate_batches(monkeypatch), size)
+
+
+@pytest.mark.parametrize("size", range(12, 18))
+def test_a_clean_input_on_12_to_17_options_also_gates_in_one_batch(monkeypatch, size):
+    _assert_clean_inputs_gate_in_one_batch(_recorded_gate_batches(monkeypatch), size)
 
 
 @pytest.mark.parametrize("cap", [0, 1, 16])
