@@ -41,7 +41,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import ChoiceFunction, ChoiceModelError, GroundSet, TypePartition, iter_bits
-from .revealed import BinaryRelation, RevealedReport
+from .revealed import BinaryRelation, RevealedReport, converse
 
 DEFAULT_VIOLATION_CAP = 16
 
@@ -51,8 +51,8 @@ class AxiomViolationError(ChoiceModelError):
 
     code = "axiom-violation"
 
-    def __init__(self, message: str, verdicts=None, **details):
-        super().__init__(message, **details)
+    def __init__(self, message: str, verdicts=None):
+        super().__init__(message)
         self.verdicts = verdicts or []
 
 
@@ -466,16 +466,11 @@ class TSMSpec:
         for a, b in pairs:
             rows[idx[a]] |= 1 << idx[b]
         closed = BinaryRelation(self.ground, tuple(rows), strict=False).transitive_closure()
+        # Closed, a relation with (i, j) and (j, i) holds (i, i): acyclic is asymmetric.
         for i, row in enumerate(closed.rows):
             if (row >> i) & 1:
                 raise InvalidRationaleError(f"rationale {name} has a cycle through "
                                             f"{self.ground.options[i]!r}")
-            for j in iter_bits(row):
-                if (closed.rows[j] >> i) & 1:
-                    raise InvalidRationaleError(
-                        f"rationale {name} is not asymmetric on "
-                        f"({self.ground.options[i]}, {self.ground.options[j]})"
-                    )
         return closed.rows
 
 
@@ -488,10 +483,8 @@ def tsm_choice(spec: TSMSpec) -> ChoiceFunction:
     single option.
     """
     ground = spec.ground
-    rows1 = spec._closed_rows(spec.p1, "P1")
-    rows2 = spec._closed_rows(spec.p2, "P2")
-    dominated1 = _dominators_table(rows1, ground.size)
-    dominated2 = _dominators_table(rows2, ground.size)
+    dominated1 = converse(spec._closed_rows(spec.p1, "P1"))
+    dominated2 = converse(spec._closed_rows(spec.p2, "P2"))
     table = [-1] * (1 << ground.size)
     for mask in range(1, ground.full_mask + 1):
         shortlist = 0
@@ -509,15 +502,6 @@ def tsm_choice(spec: TSMSpec) -> ChoiceFunction:
             )
         table[mask] = final.bit_length() - 1
     return ChoiceFunction(ground, table)
-
-
-def _dominators_table(rows: tuple[int, ...], n: int) -> list[int]:
-    """table[x] = bitmask of options that dominate x under the relation."""
-    out = [0] * n
-    for y, row in enumerate(rows):
-        for x in iter_bits(row):
-            out[x] |= 1 << y
-    return out
 
 
 def tsm_fixture_nrs_violation() -> TSMSpec:

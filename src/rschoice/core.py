@@ -92,10 +92,6 @@ class ChoiceModelError(Exception):
 
     code = "error"
 
-    def __init__(self, message: str, **details):
-        super().__init__(message)
-        self.details = details
-
 
 class InvalidGroundSetError(ChoiceModelError):
     code = "invalid-ground-set"
@@ -254,6 +250,13 @@ class LinearOrder:
         out = [0] * self.ground.size
         for rank, name in enumerate(self.ranking):
             out[self.ground.index[name]] = rank
+        return out
+
+    def below(self) -> list[int]:
+        """below[i] = mask of the options ranked below the one at ground position i."""
+        out, below = [0] * self.ground.size, 0
+        for i in map(self.ground.index.__getitem__, reversed(self.ranking)):
+            out[i], below = below, below | 1 << i
         return out
 
     def prefers(self, a: str, b: str) -> bool:

@@ -3,8 +3,10 @@
 The welfare-improving relation reads welfare off the canonical
 (minimal) single-peaked structure: within a type the welfare order is
 revealed directly; across types the comparison runs through options
-strictly above their type thresholds, where the two orders agree.  Two
-classic comparators are provided for contrast: the conservative criterion
+strictly above their type thresholds, where the two orders agree.  Its
+rows are ORs of ``LinearOrder.below`` masks, and the per-type masks of the
+options above the thresholds are also the freedom sets.  Two classic
+comparators are provided for contrast: the conservative criterion
 (sometimes chosen over / never chosen against, Bernheim-Rangel style) and
 the transitive closure of the limited-attention revealed preference
 (Masatlioglu-Nakajima-Ozbay style).
@@ -40,7 +42,7 @@ from .axioms import (
     _verdict,
 )
 from .core import ChoiceFunction, ChoiceModelError, GroundSet, indented_json, iter_bits
-from .revealed import BinaryRelation, single_deletion_switches
+from .revealed import BinaryRelation, _switch_rows, converse
 from .structure import RSStructure, SinglePeakedCertificate, certify_single_peaked, minimal_structure
 
 
@@ -122,36 +124,30 @@ def improving_from_structure(
     certificate: SinglePeakedCertificate,
     transitive_closure: bool = False,
 ) -> BinaryRelation:
-    ground = structure.ground
-    n = ground.size
-    r1 = structure.welfare.ranks()
-    r2 = structure.reaction_pref.ranks()
-    block_of = structure.types.block_of()
-    blocks = structure.types.blocks
-    threshold_rank = {}
-    for b, block in enumerate(blocks):
-        threshold_rank[b] = r1[ground.index[certificate.thresholds[block]]]
-    members_of = {b: [ground.index[name] for name in block] for b, block in enumerate(blocks)}
-
-    rows = [0] * n
-    for x in range(n):
-        bx = block_of[x]
-        for y in range(n):
-            if x == y:
-                continue
-            by = block_of[y]
-            if bx == by:
-                if r1[x] < r1[y]:
-                    rows[x] |= 1 << y
-                continue
-            if r1[x] >= threshold_rank[bx]:
-                continue
-            for z in members_of[by]:
-                if r1[z] < threshold_rank[by] and r2[x] < r2[z] and r1[z] < r1[y]:
-                    rows[x] |= 1 << y
-                    break
-    rel = BinaryRelation(ground, tuple(rows), strict=True)
+    """``welfare_improving`` on a certified structure.  Row x is ``within[x]``,
+    the members of its type welfare-below x; an x above its threshold ORs in
+    ``within[z]`` for each z above its own threshold, in another type and
+    reaction-below x."""
+    welfare_below, reaction_below = structure.welfare.below(), structure.reaction_pref.below()
+    masks = structure.types.block_masks()
+    within = [welfare_below[x] & masks[t] for x, t in enumerate(structure.types.block_of())]
+    rows = list(within)
+    above = _above_thresholds(structure, certificate)
+    above_any = sum(above)  # the types are disjoint
+    for tmask, up in zip(masks, above):
+        for x in iter_bits(up):
+            for z in iter_bits(above_any & ~tmask & reaction_below[x]):
+                rows[x] |= within[z]
+    rel = BinaryRelation(structure.ground, tuple(rows), strict=True)
     return rel.transitive_closure() if transitive_closure else rel
+
+
+def _above_thresholds(structure: RSStructure, certificate: SinglePeakedCertificate) -> list[int]:
+    """Per type, in block order, the mask of its members strictly
+    welfare-above the type's threshold."""
+    types, below = structure.types, structure.welfare.below()
+    thresholds = [structure.ground.index[certificate.thresholds[b]] for b in types.blocks]
+    return [mask & ~below[t] & ~(1 << t) for mask, t in zip(types.block_masks(), thresholds)]
 
 
 #: Menus per block of ``bernheim_rangel_pstar``'s sort: at n = 24 one sort
@@ -168,7 +164,7 @@ def bernheim_rangel_pstar(cf: ChoiceFunction) -> BinaryRelation:
     groups the menus by choice and one ``reduceat`` ORs each group."""
     ground, table = cf.ground, cf.table
     n = ground.size
-    # bit y: x chosen from some menu containing y (bit x is never read)
+    # bit y: x chosen from some menu containing y (bit x is masked off below)
     chosen_against = [0] * n
     for start in range(0, table.size, PSTAR_BLOCK):
         block = table[start:start + PSTAR_BLOCK]
@@ -179,21 +175,15 @@ def bernheim_rangel_pstar(cf: ChoiceFunction) -> BinaryRelation:
             if x >= 0:  # not the empty menu
                 # Menus of a block are start plus an offset below start's low bit.
                 chosen_against[x] |= start | mask
-    rows = [0] * n
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            if (chosen_against[x] >> y) & 1 and not (chosen_against[y] >> x) & 1:
-                rows[x] |= 1 << y
+    against = converse(chosen_against)  # bit y of against[x]: y chosen from a menu holding x
+    rows = [row & ~against[x] & ~(1 << x) for x, row in enumerate(chosen_against)]
     return BinaryRelation(ground, tuple(rows), strict=True)
 
 
 def masatlioglu_pr(cf: ChoiceFunction) -> BinaryRelation:
     """Transitive closure of: x over y iff removing y from some menu where
     x is chosen changes the choice."""
-    base = single_deletion_switches(cf)[0]
-    return BinaryRelation(cf.ground, base, strict=True).transitive_closure()
+    return BinaryRelation(cf.ground, _switch_rows(cf, after=False), strict=True).transitive_closure()
 
 
 def _containment(name_a: str, rel_a: BinaryRelation, name_b: str, rel_b: BinaryRelation,
@@ -259,12 +249,8 @@ def freedom_model(structure: RSStructure,
         certificate = certify_single_peaked(structure)
     if not certificate.verified:
         raise NotSinglePeakedRSCError("structure has no single-peaked certificate")
-    ground = structure.ground
-    r1 = structure.welfare.ranks()
-    satisfied: dict[tuple[str, ...], tuple[str, ...]] = {}
-    for block in structure.types.blocks:
-        thr = r1[ground.index[certificate.thresholds[block]]]
-        satisfied[block] = tuple(name for name in block if r1[ground.index[name]] < thr)
+    above = _above_thresholds(structure, certificate)
+    satisfied = dict(zip(structure.types.blocks, map(structure.ground.members, above)))
     return FreedomModel(structure, certificate, satisfied)
 
 

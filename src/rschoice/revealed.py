@@ -14,8 +14,10 @@ Three objects are extracted from choice data:
 ``take`` over a mask array cached per n, and visits each triple once,
 testing its two unchosen options against ``ChoiceFunction.beats``.
 ``single_deletion_switches`` reads every choice reversal caused by removing
-one option off the table in one numpy pass per removed option;
-``reaction_crosscheck`` and ``normative.masatlioglu_pr`` take its rows.
+one option off the table in one numpy pass per removed option, one side
+of the reversals at a time: ``reaction_crosscheck`` builds the options
+switched to, ``normative.masatlioglu_pr`` those switched from.  ``converse``
+transposes adjacency rows, for ``similarity_classes`` among others.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
@@ -108,6 +111,16 @@ class RevealedReport:
         return indented_json(self.to_dict())
 
 
+def converse(rows: Sequence[int]) -> list[int]:
+    """Adjacency rows of the converse relation: bit i of ``out[j]`` is bit
+    j of ``rows[i]``."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in iter_bits(row):
+            out[j] |= 1 << i
+    return out
+
+
 def reveal_binary(cf: ChoiceFunction) -> BinaryRelation:
     """Strict pairwise revealed preference: x beats y iff x = c{x,y}."""
     return BinaryRelation(cf.ground, cf.beats)
@@ -158,20 +171,25 @@ def single_deletion_switches(cf: ChoiceFunction) -> tuple[tuple[int, ...], tuple
 
     A switch is a menu A and an unchosen y in A with c(A \\ {y}) != c(A).
     Each switch sets bit y in ``before[c(A)]`` and in ``after[c(A \\ {y})]``;
-    the choice from A minus y is never y, so both are irreflexive.  One
-    numpy pass per y compares ``table[A]`` with ``table[A ^ 1 << y]`` over
-    the menus A that contain y.
+    the choice from A minus y is never y, so both are irreflexive.
     """
+    return _switch_rows(cf, after=False), _switch_rows(cf, after=True)
+
+
+def _switch_rows(cf: ChoiceFunction, after: bool) -> tuple[int, ...]:
+    """``single_deletion_switches``' after rows, or its before rows: one numpy
+    pass per y compares ``table[A]`` with ``table[A ^ 1 << y]`` over the menus
+    A holding y and flags the options switched to, or switched from."""
     table, n = cf.table, cf.ground.size
-    before = np.zeros(n, dtype=np.int64)
-    after = np.zeros(n, dtype=np.int64)
+    rows = np.zeros(n, dtype=np.int64)
     for y in range(n):
         pairs = table.reshape(-1, 2, 1 << y)
         without, chosen = pairs[:, 0], pairs[:, 1]
         switch = (chosen != without) & (chosen != y)
-        before[np.bincount(chosen[switch], minlength=n) > 0] |= 1 << y
-        after[np.bincount(without[switch], minlength=n) > 0] |= 1 << y
-    return tuple(before.tolist()), tuple(after.tolist())
+        flags = np.zeros(n, dtype=bool)
+        flags[(without if after else chosen)[switch]] = True
+        rows[flags] |= 1 << y
+    return tuple(rows.tolist())
 
 
 def reaction_crosscheck(
@@ -188,7 +206,7 @@ def reaction_crosscheck(
     definitions coincide on this function.
     """
     triple = report.reaction if report is not None else reveal_reaction(cf)[0]
-    menus = BinaryRelation(cf.ground, single_deletion_switches(cf)[1], strict=True)
+    menus = BinaryRelation(cf.ground, _switch_rows(cf, after=True), strict=True)
     triple_pairs, menu_pairs = set(triple.pairs()), set(menus.pairs())
     return {
         "only_in_triple_scan": sorted(triple_pairs - menu_pairs),
@@ -203,10 +221,7 @@ def similarity_classes(reaction: BinaryRelation) -> TypePartition:
     isolated options form singleton blocks.
     """
     ground = reaction.ground
-    undirected = list(reaction.rows)
-    for i, row in enumerate(reaction.rows):
-        for j in iter_bits(row):
-            undirected[j] |= 1 << i
+    undirected = [row | back for row, back in zip(reaction.rows, converse(reaction.rows))]
     # Each component is the OR-closure of the rows from its smallest
     # unplaced option, so the blocks come out ordered by smallest member.
     masks = []

@@ -22,6 +22,8 @@ orders agree, and checks that the reaction order is single-peaked in the
 welfare order below it.
 ``minimal_structure`` ties both together and cross-checks the canonical
 threshold/peak identities against the reaction relation.
+``reaction_characterization`` reads the reaction relation a structure
+generates off the ``LinearOrder.below`` masks of its two orders.
 """
 
 from __future__ import annotations
@@ -182,24 +184,18 @@ def reaction_characterization(s: RSStructure) -> BinaryRelation:
 
     (x, y) is included iff x and y share a type, y is welfare-better, and
     some option z outside the type sits strictly between them in the
-    reaction order.
+    reaction order: z is in ``outside & below[x] & ~below[y]`` with
+    ``below`` the reaction order's masks, empty when y = x.
     """
-    ground = s.ground
-    r1 = s.welfare.ranks()
-    r2 = s.reaction_pref.ranks()
-    block_of = s.types.block_of()
-    n = ground.size
-    rows = [0] * n
-    for x in range(n):
-        for y in range(n):
-            if x == y or block_of[x] != block_of[y] or r1[y] >= r1[x]:
-                continue
-            if any(
-                block_of[z] != block_of[x] and r2[x] < r2[z] < r2[y]
-                for z in range(n)
-            ):
-                rows[x] |= 1 << y
-    return BinaryRelation(ground, tuple(rows), strict=True)
+    welfare_below, below = s.welfare.below(), s.reaction_pref.below()
+    rows = [0] * s.ground.size
+    for tmask in s.types.block_masks():
+        outside = s.ground.full_mask & ~tmask
+        for x in iter_bits(tmask):
+            for y in iter_bits(tmask & ~welfare_below[x]):
+                if outside & below[x] & ~below[y]:
+                    rows[x] |= 1 << y
+    return BinaryRelation(s.ground, tuple(rows), strict=True)
 
 
 # ---------------------------------------------------------------------------

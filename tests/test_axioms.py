@@ -280,6 +280,7 @@ def test_shortlist_not_single_valued():
 
 def test_shortlist_rejects_cyclic_rationale():
     ground = GroundSet(("a", "b", "c"))
-    spec = TSMSpec(ground, p1=(("a", "b"), ("b", "c"), ("c", "a")), p2=())
-    with pytest.raises(InvalidRationaleError):
-        tsm_choice(spec)
+    for p1 in ((("a", "b"), ("b", "c"), ("c", "a")), (("a", "b"), ("b", "a"))):
+        spec = TSMSpec(ground, p1=p1, p2=())
+        with pytest.raises(InvalidRationaleError, match="rationale P1 has a cycle"):
+            tsm_choice(spec)
