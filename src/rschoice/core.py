@@ -33,8 +33,8 @@ so errors name the first bad entry; keys out of canonical order or form go
 to ``GroundSet.parse_menu_key``.
 
 A ``ChoiceFunction`` stores its 2^n picks as one read-only ``np.int8``
-array, ``table``, checked in one numpy pass when it is built.  Whole-table
-passes run on it: ``choice_from_order`` here,
+array, ``table``, checked when it is built by numpy passes over blocks of
+2^16 menus.  Whole-table passes run on it: ``choice_from_order`` here,
 ``revealed.single_deletion_switches``, ``normative.bernheim_rangel_pstar``
 and the Expansion gate and scan.  Reshaping a table to ``(-1, 2, 1 << y)``
 pairs every menu without option y (``[:, 0]``) with the same menu plus y
@@ -363,12 +363,17 @@ class ChoiceFunction:
                                     for c in choices[1:])])
         # numpy shifts by a negative or too wide amount give 0, so bit
         # table[mask] of mask is set exactly when the pick is in the menu.
-        inside = np.arange(1 << n, dtype=np.promote_types(table.dtype, np.int32))
-        np.right_shift(inside, table, out=inside)
-        inside &= 1
-        mask = int(inside[1:].argmin()) + 1
-        if not inside[mask]:
-            raise self._outside_error(mask, choices[mask])
+        # Blocks of 2^16 menus keep the mask array at 256 KB; a table of at
+        # most 2^16 entries is one block.
+        dtype, block = np.promote_types(table.dtype, np.int32), 1 << 16
+        for start in range(0, 1 << n, block):
+            inside = np.arange(start, min(start + block, 1 << n), dtype=dtype)
+            np.right_shift(inside, table[start:start + block], out=inside)
+            inside &= 1
+            skip = 1 if start == 0 else 0  # entry 0, the empty menu, is checked above
+            first = int(inside[skip:].argmin()) + skip
+            if not inside[first]:
+                raise self._outside_error(start + first, choices[start + first])
         table = table.astype(np.int8, copy=False)
         table.flags.writeable = False
         object.__setattr__(self, "table", table)

@@ -121,6 +121,19 @@ def test_choice_function_rejects_bad_picks_with_a_coded_error(choices, message):
         ChoiceFunction(GroundSet(("x", "y")), choices)
 
 
+@pytest.mark.parametrize("bad", [1 << 16, (1 << 16) + 5])
+def test_choice_function_names_the_first_bad_pick_past_the_first_block(bad):
+    # Membership is checked in blocks of 2^16 menus; at 17 options the first
+    # bad pick lies in the second block and a later one is not reported.
+    ground = GroundSet(tuple(f"o{i}" for i in range(17)))
+    table = np.array(choice_from_order(LinearOrder(ground, ground.options)).table)
+    table[bad] = 1
+    table[(1 << 17) - 2] = 0
+    message = f"^chosen option 'o1' is outside menu {ground.menu_key(bad)!r}$"
+    with pytest.raises(ChoiceOutsideMenuError, match=message):
+        ChoiceFunction(ground, table)
+
+
 def test_choice_function_table_is_a_read_only_int8_view_of_choices():
     cf = choice_from_order(LinearOrder(GroundSet(("x", "y", "z")), ("z", "x", "y")))
     assert cf.table.dtype == np.int8

@@ -280,14 +280,15 @@ def reference_effort(beta, value, g, q):
     return min(corner, interior)
 
 
-def reference_dynamics(params, record_every):
+def reference_dynamics(params, record_every, stage_points=None):
     """The integration loop that runs all ``round(horizon / dt)`` steps and
     calls ``effort`` at every stage.
 
     Returns ``(trajectory, q_end, converged, d_star_minority,
     d_star_majority, g_bar)``; ``culture_dynamics`` must agree exactly
     although it stops at the first fixed point and computes the step's
-    constants once.
+    constants once.  A ``stage_points`` list receives each step's four
+    stage points ``(q, x2, x3, x4)``.
     """
     beta, g = params.beta, params.g
     value_minority = transmission_value(g, params.g_hat, params.v_hat, params.lambda_r)
@@ -305,9 +306,14 @@ def reference_dynamics(params, record_every):
     trajectory = [(0.0, q)]
     for k in range(steps):
         k1 = rhs(q)
-        k2 = rhs(q + 0.5 * dt * k1)
-        k3 = rhs(q + 0.5 * dt * k2)
-        k4 = rhs(q + dt * k3)
+        x2 = q + 0.5 * dt * k1
+        k2 = rhs(x2)
+        x3 = q + 0.5 * dt * k2
+        k3 = rhs(x3)
+        x4 = q + dt * k3
+        k4 = rhs(x4)
+        if stage_points is not None:
+            stage_points.append((q, x2, x3, x4))
         q = q + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         q = min(max(q, 0.0), 1.0)
         if (k + 1) % record_every == 0 or k == steps - 1:
@@ -325,6 +331,38 @@ def reference_dynamics(params, record_every):
         effort(beta, v_hat, 1.0, 1.0 - q_star),
         g_bar,
     )
+
+
+def _first_repeat(trajectory):
+    """The first step of a ``record_every=1`` trajectory that returns the
+    share it started from, or the last step if none does."""
+    qs = [q for _, q in trajectory]
+    return next((k for k in range(1, len(qs)) if qs[k] == qs[k - 1]), len(qs) - 1)
+
+
+def _slope_plan(stage_points):
+    """How ``culture_dynamics`` gets each stage's slope on the given steps.
+
+    ``k1`` reuses the last step's ``k4`` when ``q`` is the last step's
+    fourth point, and ``k3`` reuses ``k2`` when the third point is the
+    second; any other point runs inline in ``(2**-52, 1)`` and calls the
+    ``_flow`` slope outside it.  Returns the points the slope is called
+    at, in order, and the set of ways taken.
+    """
+    fallback, ways = [], set()
+    last_x4 = math.nan
+    for q, x2, x3, x4 in stage_points:
+        for x, reuse in ((q, "reuse k1" if q == last_x4 else None), (x2, None),
+                         (x3, "reuse k3" if x3 == x2 else None), (x4, None)):
+            if reuse:
+                ways.add(reuse)
+            elif 2**-52 < x < 1.0:
+                ways.add("inline")
+            else:
+                ways.add("fallback")
+                fallback.append(x)
+        last_x4 = x4
+    return fallback, ways
 
 
 def _outcome_fields(out):
@@ -362,29 +400,56 @@ def test_dynamics_equal_the_full_loop_with_and_without_a_fixed_point():
         for record_every in (1, 3, 100, steps, steps + 5, rng.randint(2, 499)):
             out = culture_dynamics(params, record_every=record_every)
             assert _outcome_fields(out) == reference_dynamics(params, record_every)
+            assert out.steps_taken == _first_repeat(full)
     assert reached and missed
 
 
-def test_dynamics_equal_the_full_loop_at_the_edges():
+def test_dynamics_equal_the_full_loop_at_the_edges(monkeypatch):
     # beta within 1e-6 of 1 (the interior power overflows to the corner),
     # steps of 1 to 100 (q hits the 0/1 clamp), q0 within 1e-12 of 0 and 1,
-    # and the policy below, at and above the reactance threshold.
+    # q0 on both sides of the inline range (2**-52, 1) down to the smallest
+    # subnormal, and the policy below, at and above the reactance threshold.
+    # The _flow slope must be called at exactly the points outside that
+    # range that no reuse covers.
+    calls = []
+    real_flow = culture._flow
+
+    def recording_flow(*args):
+        slope = real_flow(*args)
+
+        def recording_slope(x):
+            calls.append(x)
+            return slope(x)
+
+        return recording_slope
+
+    monkeypatch.setattr(culture, "_flow", recording_flow)
     clamped = overflowed = 0
+    ways = set()
     for beta in (1.0000001, 1.0000009, 1.7, 3.0):
         for dt in (0.05, 1.0, 7.0, 100.0):
-            for q0 in (1e-13, 0.3, 1.0 - 1e-13):
+            for q0 in (5e-324, 1e-13, 2**-54, 2**-53, 2**-52, 0.3, 1.0 - 1e-13, 1.0 - 2**-53):
                 for g in (1.2, 2.0, 4.0):
                     params = CultureParams(beta=beta, g_hat=2.0, v_hat=2.5, lambda_r=1.5,
                                            g=g, q0=q0, dt=dt, horizon=40 * dt)
                     steps = params.steps
-                    full = reference_dynamics(params, 1)
+                    stage_points = []
+                    full = reference_dynamics(params, 1, stage_points)
                     clamped += any(q in (0.0, 1.0) for _, q in full[0])
                     overflowed += beta < 1.000001 and full[3] == (1.0 / g) ** (1.0 / beta)
-                    assert _outcome_fields(culture_dynamics(params, record_every=1)) == full
+                    calls.clear()
+                    out = culture_dynamics(params, record_every=1)
+                    assert _outcome_fields(out) == full
+                    assert out.steps_taken == _first_repeat(full[0])
+                    fallback, taken = _slope_plan(stage_points[:out.steps_taken])
+                    # repr tells -0.0 from 0.0.
+                    assert repr(calls) == repr(fallback)
+                    ways |= taken
                     for record_every in (3, 100, steps, steps + 5):
                         out = culture_dynamics(params, record_every=record_every)
                         assert _outcome_fields(out) == reference_dynamics(params, record_every)
     assert clamped and overflowed
+    assert ways == {"inline", "fallback", "reuse k1", "reuse k3"}
 
 
 def test_effort_helper_equals_effort_pointwise():
@@ -420,26 +485,13 @@ def test_effort_helper_equals_effort_pointwise():
     assert branches == {"zero", "overflow", "corner", "interior"}
 
 
-def test_dynamics_stop_at_the_fixed_point(monkeypatch):
-    # The default run reaches an exact fixed point near step 7 900 of 20 000;
-    # each RK4 step evaluates the slope 4 times.
-    calls = 0
-    real_flow = culture._flow
-
-    def counting_flow(*args):
-        slope = real_flow(*args)
-
-        def counting_slope(x):
-            nonlocal calls
-            calls += 1
-            return slope(x)
-
-        return counting_slope
-
-    monkeypatch.setattr(culture, "_flow", counting_flow)
+def test_dynamics_stop_at_the_fixed_point():
+    # The default run of 20 000 steps reaches an exact fixed point near step
+    # 7 900 and integrates no step past it.
     params = CultureParams(**BASE)
+    first_repeat = _first_repeat(reference_dynamics(params, 1)[0])
     out = culture_dynamics(params, record_every=100)
-    assert 0 < calls < 4 * params.steps // 2
+    assert out.steps_taken == first_repeat < params.steps // 2
     assert len(out.trajectory) == 1 + params.steps // 100
     assert out.trajectory[-1][0] == params.steps * params.dt
 

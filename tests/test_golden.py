@@ -26,7 +26,9 @@ the success path is pinned at a realistic size too.  They also run on
 reaction o4, o5, o6, o1, o2, o3, o0) on which a dominance tie inside the
 threshold-to-peak band decides the synthesized reaction order.  The
 numpy-based consistency report of ``simulate-culture --consistency-grid`` is
-left out, so that numpy versions cannot flip its last bits.
+left out, so that numpy versions cannot flip its last bits.  The
+``simulate-culture`` case also writes its whole trajectory, every step of
+it, and the file must equal ``tests/golden/simulate-culture.trajectory.csv``.
 
 Regenerate after an intended output change with::
 
@@ -151,6 +153,17 @@ def test_stdout_matches_golden(case):
     assert (code, out) == (exit_codes[case], expected)
 
 
+TRAJECTORY_ARGV = [*CASES["simulate-culture"], "--record-every", "1", "--trajectory-out"]
+TRAJECTORY_GOLDEN = GOLDEN / "simulate-culture.trajectory.csv"
+
+
+def test_trajectory_file_matches_golden(tmp_path):
+    path = tmp_path / "trajectory.csv"
+    code, out, _ = _run([*TRAJECTORY_ARGV, str(path)])
+    assert (code, out) == (0, (GOLDEN / "simulate-culture.out").read_bytes().decode("utf-8"))
+    assert path.read_bytes() == TRAJECTORY_GOLDEN.read_bytes()
+
+
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
 EXIT_2_CASES = sorted(case for case, code in EXIT_CODES.items() if code == 2)
 
@@ -176,6 +189,7 @@ def _regenerate() -> None:
             (GOLDEN / f"{case}.err").write_text(err, encoding="utf-8", newline="")
         exit_codes[case] = code
     (GOLDEN / "exit_codes.json").write_text(json.dumps(exit_codes, indent=2) + "\n")
+    _run([*TRAJECTORY_ARGV, str(TRAJECTORY_GOLDEN)])
 
 
 if __name__ == "__main__":
