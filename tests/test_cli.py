@@ -100,9 +100,14 @@ def test_reveal_cross_check_reveals_reactions_once(capsys, monkeypatch):
     monkeypatch.setattr(revealed, "reveal_reaction", lambda cf: calls.append(cf) or scan(cf))
     noisy10 = str(Path(__file__).resolve().parent / "golden" / "noisy10.json")
     for _ in range(2):
+        # Forget the last report, so that each call reveals afresh.
+        monkeypatch.setattr(revealed, "_last_reveal", (None, None))
         code, out, _ = run(capsys, "reveal", noisy10, "--cross-check")
         assert code == 0 and json.loads(out)["reaction"]
     assert len(calls) == 2
+    # Without forgetting, the same parsed function reuses its report.
+    code, _, _ = run(capsys, "reveal", noisy10, "--cross-check")
+    assert code == 0 and len(calls) == 2
 
 
 def test_welfare_subcommand(capsys, detergent_file):

@@ -5,8 +5,10 @@
 library did before ``GroundSet.menu_keys``.  On every input both must
 return the same table over the same ground set, or raise the same error
 class with the same message.  Choice-function parses with the same options
-share one cached ``GroundSet``; the last tests pin that reuse, the cache's
-bound, and that structure parses stay out of the cache.
+share one cached ``GroundSet``; later tests pin that reuse, the cache's
+bound, and that structure parses stay out of the cache.  The last tests pin
+the one-entry memos of ``parse_choice_function`` and ``reveal``, and that
+both parsers read any bytes-like input as ``bytes``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,7 +44,8 @@ from rschoice.core import (
     parse_structure_json,
     serialize_choice_function,
 )
-from rschoice.generators import ground_of_size, random_choice_function
+from rschoice.generators import ground_of_size, random_choice_function, random_order
+from rschoice.revealed import reveal
 
 
 def _reference_reject_duplicate_keys(pairs):
@@ -459,3 +466,103 @@ def test_structure_parse_does_not_evict_a_choice_file_ground():
     again = parse_choice_function(text)
     assert _parsed_ground.cache_info().hits == before.hits + 1
     assert again.ground is first.ground
+
+
+def test_equal_text_returns_the_last_parsed_function():
+    rng = random.Random(37)
+    text = serialize_choice_function(random_choice_function(rng, ground_of_size(5))).encode()
+    first = parse_choice_function(text)
+    assert parse_choice_function(bytes(bytearray(text))) is first
+    assert parse_choice_function(text.decode()) == first
+
+
+def test_str_and_bytes_parses_in_turn_compare_no_str_with_bytes():
+    """Under ``python -bb`` a comparison of bytes with str raises."""
+    fixture = Path(__file__).resolve().parent.parent / "fixtures" / "detergent.json"
+    code = ("import sys; from rschoice.core import parse_choice_function as parse; "
+            "text = open(sys.argv[1], 'rb').read(); "
+            "sys.exit(not parse(text) == parse(text.decode()) == parse(text))")
+    src = str(Path(core.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-bb", "-c", code, str(fixture)], env=env, check=True, timeout=60)
+
+
+@pytest.mark.parametrize("fmt, other", [("json", "csv"), ("csv", "json")])
+def test_the_other_format_parses_or_fails_on_its_own(fmt, other):
+    """A text given with the other format is parsed as that format: here it
+    fails on every call, and the function stored for its own format stays."""
+    cf = random_choice_function(random.Random(41), ground_of_size(4))
+    text = serialize_choice_function(cf, fmt)
+    first = parse_choice_function(text, fmt)
+    for _ in range(2):
+        with pytest.raises(MalformedKeyError):
+            parse_choice_function(text, other)
+    assert parse_choice_function(text, fmt) is first
+    assert parse_choice_function(serialize_choice_function(cf, other), other) == first
+
+
+def test_a_failing_text_raises_every_time_and_keeps_the_stored_function():
+    text = serialize_choice_function(random_choice_function(random.Random(43), ground_of_size(4)))
+    first = parse_choice_function(text)
+    bad = text.replace('"o0,o1": "o0"', '"o0,o1": "o2"').replace('"o0,o1": "o1"', '"o0,o1": "o2"')
+    assert bad != text
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(ChoiceOutsideMenuError) as exc:
+            parse_choice_function(bad)
+        messages.add(str(exc.value))
+    assert messages == {"choice 'o2' is outside menu 'o0,o1'"}
+    assert parse_choice_function(text) is first
+
+
+@pytest.mark.parametrize("wrap", [lambda buffer: buffer, memoryview], ids=["bytearray", "memoryview"])
+def test_a_buffer_changed_between_parses_gives_its_new_function(wrap):
+    ground = ground_of_size(6)
+    first, second = (choice_from_order(random_order(random.Random(seed), ground))
+                     for seed in (47, 53))
+    old, new = (serialize_choice_function(cf).encode() for cf in (first, second))
+    assert len(old) == len(new) and first != second
+    buffer = bytearray(old)
+    source = wrap(buffer)
+    assert parse_choice_function(source) == first
+    buffer[:] = new
+    assert parse_choice_function(source) == second
+
+
+def test_reveal_returns_one_report_per_function_object():
+    cf = random_choice_function(random.Random(59), ground_of_size(5))
+    report = reveal(cf)
+    assert reveal(cf) is report
+    copy = ChoiceFunction(cf.ground, cf.table)
+    assert copy == cf
+    fresh = reveal(copy)
+    assert fresh is not report and fresh == report
+    assert reveal(copy) is fresh
+
+
+def test_a_shared_report_refuses_writes_to_its_witnesses():
+    cf = choice_from_order(LinearOrder(ground_of_size(3), ("o0", "o1", "o2")))
+    witness = reveal(cf).witness
+    with pytest.raises(TypeError):
+        witness[("o0", "o1")] = "o2"
+    assert dict(witness) == {} and reveal(cf).witness == {}
+
+
+_STRUCTURE = b'{"types": [["x", "y"], ["z"]], "welfare": ["x", "y", "z"], "reaction": ["z", "x", "y"]}'
+
+
+@pytest.mark.parametrize("view", [bytearray, memoryview])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_bytes_like_input_parses_as_bytes(view, fmt):
+    cf = random_choice_function(random.Random(61), ground_of_size(6))
+    text = serialize_choice_function(cf, fmt).encode()
+    assert parse_choice_function(view(text), fmt) == cf
+    short = serialize_choice_function(random_choice_function(random.Random(61), ground_of_size(3)), fmt)
+    assert parse_choice_function(view(short.encode()), fmt) == parse_choice_function(short, fmt)
+    for bad in (b"\xff", b"{", b'menu,choice\nx,x\ny,y\n"x,y",z\n'):
+        got = _outcome(parse_choice_function, view(bad), fmt)
+        assert issubclass(got[0], ChoiceModelError)
+        assert got == _outcome(parse_choice_function, bad, fmt)
+    assert parse_structure_json(view(_STRUCTURE)) == parse_structure_json(_STRUCTURE)
+    with pytest.raises(MalformedKeyError):
+        parse_structure_json(view(b"\xff"))
