@@ -49,15 +49,18 @@ cached per n and visits each triple once, testing its unchosen options
 against ``beats``.  None of them touches the rest of the table.
 ``choices``, the picks as a tuple of ints, is read by no module here.
 
-``parse_choice_function`` remembers its last successful parse in this
-process: given the same format and text equal to the last text (one
-comparison), it returns the same ``ChoiceFunction`` object, so the steps
-of one analysis (``rschoice`` subcommands run in one process on one file)
-parse it once.  A function is immutable, its table a read-only array, so
-every caller may share it.  The memo keeps one input text and its
-function: 0.13–0.28 MB at n = 12–13, nearly all of it the text (2.6 MB at
-n = 16).  A parse that raises stores nothing, and any bytes-like input is
-copied to ``bytes`` first, so the stored text cannot change.
+``parse_choice_function`` remembers its last parse in this process: given
+the same format and text equal to the last text (one comparison), it
+returns the same ``ChoiceFunction`` object, so the steps of one analysis
+(``rschoice`` subcommands run in one process on one file) parse it once.
+A function is immutable, its table a read-only array, so every caller may
+share it.  The memo keeps one input text and its function, nearly all of
+it the text, held after the parse: 0.13–0.28 MB at n = 12–13, 2.6 MB at
+n = 16, 49 MB at n = 20 and 212 MB at n = 22.  It is emptied before any
+other text is parsed, so it never adds to a parse's peak (433 MB at
+n = 20, 1.67 GB at n = 22, as without it), and a parse that raises leaves
+it empty.  Any bytes-like input is copied to ``bytes`` first, so the
+stored text cannot change.
 
 Every indented JSON report (axiom verdicts, reveal, synthesis, welfare,
 structure files, media and culture outcomes) is written by
@@ -583,8 +586,10 @@ def _function_from_entries(ground: GroundSet, menus: list, picks: list) -> Choic
     return ChoiceFunction(ground, table)
 
 
-#: ``(format, text, function)`` of the last successful parse.
-_last_parse: tuple = (None, None, None)
+#: ``(format, text, function)`` of the last successful parse, or
+#: ``_NO_PARSE`` while a new text is parsed and after that parse raised.
+_NO_PARSE: tuple = (None, None, None)
+_last_parse: tuple = _NO_PARSE
 
 
 def parse_choice_function(text: bytes | str, format: str = "json") -> ChoiceFunction:
@@ -593,8 +598,8 @@ def parse_choice_function(text: bytes | str, format: str = "json") -> ChoiceFunc
     A JSON file that rschoice wrote is read against the writer's template
     (``_read_canonical``); any other text goes through ``json.loads``.
     Any bytes-like ``text`` is read as ``bytes``.  Given the same format
-    and equal text as the last successful parse in this process, it
-    returns that parse's function, the same object.
+    and equal text as the last parse in this process, if that one
+    succeeded, it returns that parse's function, the same object.
     """
     global _last_parse
     text = _text_or_bytes(text)
@@ -603,6 +608,10 @@ def parse_choice_function(text: bytes | str, format: str = "json") -> ChoiceFunc
     # from raising BytesWarning when a str parse follows a bytes one.
     if format == last_format and type(text) is type(last_text) and text == last_text:
         return last_cf
+    # Forget the last text and function before parsing another, so that
+    # they never add to this parse's peak.
+    del last_text, last_cf
+    _last_parse = _NO_PARSE
     cf = _parse_choice_function(text, format)
     _last_parse = (format, text, cf)
     return cf

@@ -24,7 +24,8 @@ and returns that report when given the same object again; with
 ``core.parse_choice_function``'s memo, the steps of one analysis reveal
 once.  The report is shared and immutable: its relations are frozen and
 its ``witness`` map is a read-only ``MappingProxyType``.  The memo keeps
-one function and its report, 7–11 KB at n = 12–13.
+one function and its report, 7–11 KB at n = 12–13; above that the
+function's 2^n-byte table is most of it (4 MB at n = 22).
 """
 
 from __future__ import annotations
@@ -103,7 +104,8 @@ class RevealedReport:
     """Bundle of everything revealed from one choice function.
 
     ``reveal`` shares one report among its callers, so ``witness`` is a
-    read-only ``MappingProxyType`` there.
+    read-only ``MappingProxyType`` there.  Such a report cannot be pickled
+    or deep-copied; ``dict(report.witness)`` copies its witnesses.
     """
 
     strict_pref: BinaryRelation
@@ -251,10 +253,11 @@ def similarity_classes(reaction: BinaryRelation) -> TypePartition:
     return TypePartition.from_masks(ground, masks)
 
 
-#: ``(cf, report)`` of the last ``reveal`` call, at first a placeholder that
-#: is no function.  Holding ``cf`` keeps its ``id`` from being reused, so an
-#: ``is`` test identifies it.
-_last_reveal: tuple = (object(), None)
+#: ``(cf, report)`` of the last ``reveal`` call, at first ``_NO_REVEAL``,
+#: whose placeholder is no function.  Holding ``cf`` keeps its ``id`` from
+#: being reused, so an ``is`` test identifies it.
+_NO_REVEAL: tuple = (object(), None)
+_last_reveal: tuple = _NO_REVEAL
 
 
 def reveal(cf: ChoiceFunction) -> RevealedReport:

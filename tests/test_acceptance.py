@@ -415,7 +415,7 @@ def test_criterion_11_discretized_consistency():
     )
 
 
-def test_criterion_12_determinism(tmp_path, capsys):
+def test_criterion_12_determinism(tmp_path, capsys, forget_memos):
     stable = True
     notes = []
     samples = [
@@ -438,6 +438,7 @@ def test_criterion_12_determinism(tmp_path, capsys):
     cf_path.write_text(serialize_choice_function(samples[2]))
     outputs = []
     for run in range(2):
+        forget_memos()  # each run parses and reveals the file itself
         out_path = tmp_path / f"synth{run}.json"
         code = cli_main(["synthesize", str(cf_path), "--out", str(out_path)])
         assert code == 0

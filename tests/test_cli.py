@@ -95,13 +95,13 @@ def test_reveal_cross_check(capsys, detergent_file):
     }
 
 
-def test_reveal_cross_check_reveals_reactions_once(capsys, monkeypatch):
+def test_reveal_cross_check_reveals_reactions_once(capsys, monkeypatch, forget_memos):
     calls, scan = [], revealed.reveal_reaction
     monkeypatch.setattr(revealed, "reveal_reaction", lambda cf: calls.append(cf) or scan(cf))
     noisy10 = str(Path(__file__).resolve().parent / "golden" / "noisy10.json")
     for _ in range(2):
-        # Forget the last report, so that each call reveals afresh.
-        monkeypatch.setattr(revealed, "_last_reveal", (None, None))
+        # Forget the last function and report, so that each call reveals afresh.
+        forget_memos()
         code, out, _ = run(capsys, "reveal", noisy10, "--cross-check")
         assert code == 0 and json.loads(out)["reaction"]
     assert len(calls) == 2
@@ -442,8 +442,9 @@ def test_reused_parser_keeps_no_state_between_calls(capsys, monkeypatch, tsm1_fi
     assert count == (0, '{"count": 24}\n', "")
 
 
-def test_repeated_runs_are_byte_identical(capsys, detergent_file):
+def test_repeated_runs_are_byte_identical(capsys, detergent_file, forget_memos):
     _, first, _ = run(capsys, "synthesize", detergent_file)
+    forget_memos()
     _, second, _ = run(capsys, "synthesize", detergent_file)
     assert first == second
     _, s1, _ = run(capsys, "sweep", "media", "--lambda-range", "0.6:0.7:3",

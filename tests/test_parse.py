@@ -270,7 +270,7 @@ def test_parser_matches_reference_on_malformed_documents(fmt, text):
     _assert_same(text, fmt)
 
 
-def test_json_parses_build_no_decoder(monkeypatch):
+def test_json_parses_build_no_decoder(monkeypatch, forget_memos):
     # json.loads given a hook builds a JSONDecoder per call; the parsers
     # reuse theirs, with the same results and messages.
     text = '{"options": ["x", "y"], "choices": {"x": "x", "y": "y", "x,y": "x"}}'
@@ -280,6 +280,7 @@ def test_json_parses_build_no_decoder(monkeypatch):
         raise AssertionError("a JSONDecoder was built during a parse")
 
     monkeypatch.setattr(json.JSONDecoder, "__init__", no_decoder)
+    forget_memos()
     assert _outcome(parse_choice_function, text, "json") == expected
     assert _outcome(parse_choice_function, "\ufeff" + text, "json")[0] is MalformedKeyError
     with pytest.raises(MalformedKeyError, match="Unexpected UTF-8 BOM"):
@@ -363,12 +364,14 @@ def _parse_random(rng: random.Random, size: int, fmt: str = "json") -> ChoiceFun
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_parses_with_the_same_options_share_one_ground_set(fmt):
+def test_parses_with_the_same_options_share_one_ground_set(fmt, forget_memos):
     rng = random.Random(23)
     cf = random_choice_function(rng, ground_of_size(5))
     text = serialize_choice_function(cf, fmt)
-    first, second = parse_choice_function(text, fmt), parse_choice_function(text, fmt)
-    assert first == second == cf
+    first = parse_choice_function(text, fmt)
+    forget_memos()
+    second = parse_choice_function(text, fmt)
+    assert first == second == cf and first is not second
     assert first.ground is second.ground
     other = _parse_random(rng, 3, fmt)
     assert other.ground is not first.ground
@@ -490,18 +493,22 @@ def test_str_and_bytes_parses_in_turn_compare_no_str_with_bytes():
 @pytest.mark.parametrize("fmt, other", [("json", "csv"), ("csv", "json")])
 def test_the_other_format_parses_or_fails_on_its_own(fmt, other):
     """A text given with the other format is parsed as that format: here it
-    fails on every call, and the function stored for its own format stays."""
+    fails on every call instead of returning the function stored for its
+    own format."""
     cf = random_choice_function(random.Random(41), ground_of_size(4))
     text = serialize_choice_function(cf, fmt)
     first = parse_choice_function(text, fmt)
+    assert parse_choice_function(text, fmt) is first
     for _ in range(2):
         with pytest.raises(MalformedKeyError):
             parse_choice_function(text, other)
-    assert parse_choice_function(text, fmt) is first
+    assert parse_choice_function(text, fmt) == first
     assert parse_choice_function(serialize_choice_function(cf, other), other) == first
 
 
-def test_a_failing_text_raises_every_time_and_keeps_the_stored_function():
+def test_a_failing_text_raises_every_time_and_stores_nothing():
+    """A failing parse leaves the memo empty: the good text parsed before it
+    is parsed again, to an equal function."""
     text = serialize_choice_function(random_choice_function(random.Random(43), ground_of_size(4)))
     first = parse_choice_function(text)
     bad = text.replace('"o0,o1": "o0"', '"o0,o1": "o2"').replace('"o0,o1": "o1"', '"o0,o1": "o2"')
@@ -512,7 +519,31 @@ def test_a_failing_text_raises_every_time_and_keeps_the_stored_function():
             parse_choice_function(bad)
         messages.add(str(exc.value))
     assert messages == {"choice 'o2' is outside menu 'o0,o1'"}
-    assert parse_choice_function(text) is first
+    assert core._last_parse == core._NO_PARSE
+    again = parse_choice_function(text)
+    assert again == first and again is not first
+    assert parse_choice_function(text) is again
+
+
+def test_another_text_is_parsed_with_the_last_one_let_go(monkeypatch):
+    """While a new text is parsed, neither the memo nor the parse call holds
+    the last text, so the memo adds no text to a parse's peak memory."""
+    rng = random.Random(67)
+    old, new = (serialize_choice_function(random_choice_function(rng, ground_of_size(5))).encode()
+                for _ in range(2))
+    parse_choice_function(old)
+    held = sys.getrefcount(old)  # counts the memo's reference
+    during = []
+    parse = core._parse_choice_function
+
+    def watched(text, fmt):
+        during.append((core._last_parse, sys.getrefcount(old)))
+        return parse(text, fmt)
+
+    monkeypatch.setattr(core, "_parse_choice_function", watched)
+    cf = parse_choice_function(new)
+    assert during == [(core._NO_PARSE, held - 1)]
+    assert core._last_parse == ("json", new, cf)
 
 
 @pytest.mark.parametrize("wrap", [lambda buffer: buffer, memoryview], ids=["bytearray", "memoryview"])
