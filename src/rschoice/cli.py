@@ -6,9 +6,10 @@ Subcommands map one-to-one onto the library surface: ``check-axioms``,
 JSON or CSV on stdout (or ``--out``); given the same inputs and seed the
 bytes are identical across runs.
 
-Exit status: 0 on success, 1 when an axiom check ran and found violations,
-2 on input or parameter errors.  Errors print one JSON object per line to
-stderr with a stable machine-readable ``error`` code.
+Exit status: 0 on success and for ``--help``; 1 when an axiom check ran and
+found violations; 2 on any error, with one JSON line on stderr whose stable
+``error`` code names it (``invalid-arguments`` for a usage error,
+``internal-error`` for an unforeseen exception): exit 1 never means a crash.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import os
 import random
 import sys
+import traceback
 
 import numpy as np
 
@@ -28,7 +30,6 @@ from .core import (
     ChoiceModelError,
     GroundSet,
     MalformedKeyError,
-    _choice_texts,
     enumerate_tables,
     indented_json,
     parse_choice_function,
@@ -323,8 +324,19 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.count_only:
         _emit(json.dumps({"count": len(tables)}) + "\n", args.out)
         return 0
-    _emit("".join(_choice_texts(ground, tables[:args.limit], "line")), args.out)
+    _emit("".join(ground.text_template("line").texts(tables[:args.limit])), args.out)
     return 0
+
+
+class InvalidArgumentsError(ChoiceModelError):
+    code = "invalid-arguments"
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error, argparse's usage text and reason, instead of exiting."""
+
+    def error(self, message):
+        raise InvalidArgumentsError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
 _COMMANDS = {
@@ -345,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused: ``parse_args``
     keeps no state between calls, so in-process callers of ``main`` pay only
     for their own arguments."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rschoice",
         description="Analyze finite choice functions for restriction-sensitive behavior.",
     )
@@ -426,18 +438,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Parse and route one invocation; exceptions become coded stderr lines."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.subcommand](args)
     except ChoiceModelError as exc:
-        sys.stderr.write(json.dumps({"error": exc.code, "message": str(exc)}) + "\n")
-        return 2
+        error, message = exc.code, str(exc)
     except MemoryError:
-        # Exit 1 means "violations found"; a request too large for the
-        # memory at hand is an input error like the coded ones.
-        message = f"rschoice {args.subcommand} ran out of memory"
-        sys.stderr.write(json.dumps({"error": "out-of-memory", "message": message}) + "\n")
-        return 2
+        error, message = "out-of-memory", f"rschoice {args.subcommand} ran out of memory"
+    except Exception as exc:  # a library bug: exit 1 would read as "violations found"
+        at = traceback.extract_tb(exc.__traceback__)[-1]
+        error, message = "internal-error", f"{type(exc).__name__}: {exc} ({at.filename}:{at.lineno} in {at.name})"
+    sys.stderr.write(json.dumps({"error": error, "message": message}) + "\n")
+    return 2
 
 
 if __name__ == "__main__":

@@ -9,19 +9,22 @@ Canonical textual menu keys (for the JSON/CSV file formats) list the member
 identifiers sorted by ground-set position, joined by ``,``.  Each ground set
 builds the keys of all its 2^n masks once, on first use, into
 ``GroundSet.menu_keys``: the key of a mask extends the key of the mask without
-its top bit, so the table costs 2^n string joins.  Parsing, serializing and
-the freedom table read this one table.  ``parse_choice_function`` keeps the
-last ``PARSED_GROUND_CACHE_SIZE`` ground sets it built, keyed by their
-options, so files with the same options share one ground set and one table
+its top bit, so the table costs 2^n string joins.  It is the only 2^n
+string table behind any table text: parsing, serializing and the freedom
+table read it.  ``parse_choice_function`` keeps the last
+``PARSED_GROUND_CACHE_SIZE`` ground sets it built, keyed by their options,
+so files with the same options share one ground set and one table
 (structure files, listing options in welfare order, build their own).
 
-The writers fill one text template per ground set and form
-(``GroundSet.text_template``, kept with the ground set): the encoded keys,
-separators, head and tail, with a slot for each menu's chosen label.  A
-JSON file that is byte for byte the writer's text, on at least
-``CANONICAL_READ_MIN_SIZE`` options, is read against that template with
-no JSON decoding (``_read_canonical``): a file with fewer bytes or
-another count of line breaks than the file form on its options
+The text of a table is the key table interleaved with one cell per menu,
+everything from the end of its key to the start of the next with its
+pick's label inside, in one join (``_TextTemplate``, one per ground set
+and form, ``GroundSet.text_template``).  The json and line forms take
+``menu_keys`` itself as their keys unless a label needs JSON escaping;
+csv quotes its keys.  A JSON file that is byte for byte the writer's
+text, on at least ``CANONICAL_READ_MIN_SIZE`` options, is read against
+that template with no JSON decoding (``_read_canonical``): a file with
+fewer bytes or another count of line breaks than the file form on its options
 (``_file_layout``) is turned away before any 2^n table is built; then
 the line breaks give the label cells, a few bytes of each cell name its
 option, and the text the writer makes of the table so read must equal the
@@ -91,7 +94,7 @@ MAX_GROUND_SIZE = 24
 MAX_ENUMERATION_SIZE = 4
 
 #: Ground sets ``parse_choice_function`` keeps, with their key tables and
-#: text templates (together about 200 MB at n = 20).
+#: text templates (about 100 MB at n = 20, nearly all of it the keys).
 PARSED_GROUND_CACHE_SIZE = 2
 
 #: Fewest options for which ``parse_choice_function`` reads a file that
@@ -203,12 +206,23 @@ class GroundSet:
         return tuple(keys)
 
     def text_template(self, form: str) -> "_TextTemplate":
-        """The constant text of this ground's choice tables in ``form``
-        ("json", "line" or "csv"), built on first use and kept with the
-        ground set."""
+        """This ground's tables as text in ``form`` ("json", "line" or "csv"),
+        built on first use and kept.  The json and line forms take
+        ``menu_keys`` itself as keys when no label needs JSON escaping."""
         templates = self.__dict__.setdefault("_text_templates", {})
-        if form not in templates:
-            templates[form] = _TextTemplate(self, form)
+        if form in templates:
+            return templates[form]
+        if form == "csv":
+            cells = [f",{_csv_cell(label)}\n" for label in self.options]
+            keys, head, last = ("", *map(_csv_cell, self.menu_keys[1:])), "menu,choice\n", cells
+        else:
+            start, between, choices, sep, colon, tail = _FILE_FORM if form == "json" else _LINE_FORM
+            labels = list(map(encode_basestring_ascii, self.options))
+            keys, head = self.menu_keys, f'{start}{between.join(labels)}{choices}"'
+            if any(label[1:-1] != option for label, option in zip(labels, self.options)):
+                keys = ("", *(encode_basestring_ascii(key)[1:-1] for key in keys[1:]))
+            cells, last = ([f'"{colon}{label}{end}' for label in labels] for end in (sep + '"', tail))
+        templates[form] = _TextTemplate(keys, head, cells, last)
         return templates[form]
 
     def menu_key(self, mask: int) -> str:
@@ -540,33 +554,27 @@ def _parsed_ground(options: tuple[str, ...]) -> GroundSet:
     return GroundSet(options)
 
 
-def _is_canonical(ground: GroundSet, menus: list) -> bool:
-    """Whether ``menus`` lists every nonempty menu's key in serialized order.
-
-    The key table is built only for a file with one entry per nonempty
-    menu; a file with any other count cannot be complete.
-    """
-    return len(menus) == ground.full_mask and menus == list(ground.menu_keys[1:])
-
-
 def _function_from_entries(ground: GroundSet, menus: list, picks: list) -> ChoiceFunction:
     """Check ``(menu key, chosen label)`` entries in order; build the function.
 
-    A canonical file (``_is_canonical``) maps its labels in bulk and leaves
-    the membership check to ``ChoiceFunction``.  Any other file, and a
-    canonical one whose bulk build fails, goes through the entries one at a
-    time, so the first bad entry names the error: the i-th entry's key is
-    compared with ``menu_keys[i]``, and any other key (out of that order,
-    not canonical, or malformed) goes to ``parse_menu_key``.
+    A canonical file, listing every nonempty menu's key in serialized
+    order, maps its labels in bulk and leaves the membership check to
+    ``ChoiceFunction``.  Any other file, and a canonical one whose bulk
+    build fails, goes through the entries one at a time, so the first bad
+    entry names the error: the i-th entry's key is compared with
+    ``menu_keys[i]``, and any other key (out of that order, not canonical,
+    or malformed) goes to ``parse_menu_key``.  Only a file with one entry
+    per nonempty menu, the only count that can be complete, builds the key
+    table.
     """
     index = ground.index
-    if _is_canonical(ground, menus):
+    keys = ground.menu_keys if len(menus) == ground.full_mask else None
+    if keys is not None and menus == list(keys[1:]):
         try:
             positions = chain((-1,), map(index.__getitem__, picks))
             return ChoiceFunction(ground, np.fromiter(positions, np.int8, len(menus) + 1))
         except (KeyError, TypeError, ChoiceOutsideMenuError):
             pass
-    keys = ground.menu_keys if len(menus) == ground.full_mask else None
     table = [-1] * (ground.full_mask + 1)
     for mask, (key, chosen) in enumerate(zip(menus, picks), 1):
         if keys is None or keys[mask] != key:
@@ -713,9 +721,8 @@ def _indented(value, newline: str) -> str:
     raise TypeError(f"{type(value).__name__} is written by json.dumps")
 
 
-#: Choice tables ``_choice_texts`` maps to label cells at once, which
-#: bounds the object array of cells and its row lists (about 1 MB for
-#: four options).
+#: Tables ``_TextTemplate.texts`` maps to cells at once, which bounds
+#: its object array of cells and row lists (about 1 MB for four options).
 TEXT_BLOCK_ROWS = 4096
 
 #: ``csv.writer``'s ``writerow`` returns what its file's ``write`` returns;
@@ -753,38 +760,43 @@ def _file_layout(n: int) -> tuple[int, int, int]:
 _CANONICAL_READ_MIN_BYTES = _file_layout(CANONICAL_READ_MIN_SIZE)[2]
 
 
+@dataclass(frozen=True, eq=False)
 class _TextTemplate:
-    """A ground set's choice tables as text in one form, less the picks.
-
-    ``constants`` holds the head with the first menu's key, each separator
-    with the next menu's key, and the tail; the text of a table puts the
-    label cell of each menu's pick, ``cells[pick]``, between them.  Cells
-    come from the encoders ``json.dumps`` and ``csv.writer`` use, so each
-    text is theirs byte for byte.  ``cell_offsets`` and ``cell_reader``,
-    which ``_read_canonical`` reads the file form (json) with, are built
-    on first use.
+    """Tables as text in one form: ``keys``, one per mask ("" for the empty
+    menu), interleaved with ``head``, then ``cells[pick]`` after each key
+    but the full menu's, which ``last[pick]`` follows.  A cell holds
+    everything from the end of one key to the start of the next, its
+    pick's label inside; keys and labels come from the encoders
+    ``json.dumps`` and ``csv.writer`` use, so each text is theirs byte for
+    byte.  Only ``keys`` has 2^n entries.  ``_read_canonical`` reads the
+    file form with ``cell_offsets`` and ``cell_reader``, built on first use.
     """
 
-    def __init__(self, ground: GroundSet, form: str):
-        encode = _csv_cell if form == "csv" else encode_basestring_ascii
-        self.cells = list(map(encode, ground.options))
-        if form == "csv":
-            head, sep, colon, tail = "menu,choice\n", "\n", ",", "\n"
-        else:
-            start, between, choices, sep, colon, tail = _FILE_FORM if form == "json" else _LINE_FORM
-            head = start + between.join(self.cells) + choices
-        keys = map(encode, ground.menu_keys[1:])
-        self.constants = [head + next(keys) + colon, *(sep + key + colon for key in keys), tail]
+    keys: tuple[str, ...]
+    head: str
+    cells: list[str]
+    last: list[str]
+
+    def texts(self, tables: np.ndarray) -> Iterator[str]:
+        """The text of each row of ``tables`` (picks laid out as
+        ``ChoiceFunction.table``), in one join per row."""
+        parts = [""] * (2 * len(self.keys))
+        parts[0::2] = self.keys
+        cells = np.array(self.cells, dtype=object)
+        for start in range(0, len(tables), TEXT_BLOCK_ROWS):
+            block = tables[start:start + TEXT_BLOCK_ROWS]
+            for final, row in zip(block[:, -1].tolist(), cells[block].tolist()):
+                row[0], row[-1] = self.head, self.last[final]
+                parts[1::2] = row
+                yield "".join(parts)
 
     @cached_property
     def cell_offsets(self) -> np.ndarray:
-        """Bytes from the line break before each menu's entry to its label
-        cell: the rest of the constant before the cell, whose last line
-        break is its second byte (in the head, further on)."""
-        constants = self.constants[:-1]
-        offsets = np.fromiter(map(len, constants), np.intp, len(constants)) - 1
-        offsets[0] = len(constants[0]) - constants[0].rindex("\n")
-        return offsets
+        """Bytes from the line break before each menu's entry to its label:
+        the break and indent (``sep`` less its comma), the quoted key and
+        the colon."""
+        sep, colon = _FILE_FORM[3:5]
+        return np.fromiter(map(len, self.keys), np.intp, len(self.keys))[1:] + len(sep) + 1 + len(colon)
 
     @cached_property
     def cell_reader(self) -> tuple[list[int], list[np.ndarray], np.ndarray]:
@@ -800,7 +812,7 @@ class _TextTemplate:
         Looking each line's cell up in a dict instead makes a parse at
         n = 12 about four times slower.
         """
-        cells = [cell.encode("ascii") for cell in self.cells]
+        cells = [cell[len(_FILE_FORM[4]) + 1:].encode("ascii") for cell in self.cells]  # from the label
         offsets, tables, states, count = [], [], [0] * len(cells), 1
         while count < len(cells):
             split = next(state for state in states if states.count(state) > 1)
@@ -822,25 +834,6 @@ class _TextTemplate:
         picks = np.full(256 * (count + 1), -1, np.int8)
         picks[states] = range(len(cells))
         return offsets, tables, picks
-
-
-def _choice_texts(ground: GroundSet, tables: np.ndarray, form: str) -> Iterator[str]:
-    """The text of each row of ``tables`` (choice tables on ``ground``, laid
-    out as ``ChoiceFunction.table``), menus in ascending bit pattern.
-
-    ``form`` is "json" (the indented file), "line" (the same document on
-    one line, ending in a line break) or "csv".  The constant text comes
-    from ``ground.text_template(form)``; a table fills its slots in one
-    join.
-    """
-    template = ground.text_template(form)
-    parts = [""] * (2 * len(template.constants) - 1)
-    parts[0::2] = template.constants
-    cells = np.array(template.cells, dtype=object)
-    for start in range(0, len(tables), TEXT_BLOCK_ROWS):
-        for row in cells[tables[start:start + TEXT_BLOCK_ROWS, 1:]].tolist():
-            parts[1::2] = row
-            yield "".join(parts)
 
 
 def _read_canonical(text: bytes | str) -> ChoiceFunction | None:
@@ -903,7 +896,7 @@ def _read_canonical(text: bytes | str) -> ChoiceFunction | None:
     picks.take(state, out=table[1:])
     if table[1:].min() < 0:
         return None
-    if next(_choice_texts(ground, table[np.newaxis], "json")).encode("ascii") != text:
+    if next(template.texts(table[np.newaxis])).encode("ascii") != text:
         return None
     try:
         return ChoiceFunction(ground, table)
@@ -915,7 +908,7 @@ def serialize_choice_function(cf: ChoiceFunction, format: str = "json") -> str:
     """Canonical textual form; menus in ascending bit-pattern order."""
     if format not in ("json", "csv"):
         raise MalformedKeyError(f"unknown format {format!r}")
-    return next(_choice_texts(cf.ground, cf.table[np.newaxis], format))
+    return next(cf.ground.text_template(format).texts(cf.table[np.newaxis]))
 
 
 def parse_structure_json(text: bytes | str):

@@ -41,7 +41,7 @@ from .axioms import (
     _subset_zeta,
     _verdict,
 )
-from .core import ChoiceFunction, ChoiceModelError, GroundSet, indented_json, iter_bits
+from .core import ChoiceFunction, ChoiceModelError, GroundSet, _TextTemplate, indented_json, iter_bits
 from .revealed import BinaryRelation, _switch_rows, converse
 from .structure import RSStructure, SinglePeakedCertificate, certify_single_peaked, minimal_structure
 
@@ -653,15 +653,10 @@ def _submasks(mask: int) -> list[int]:
 
 
 def freedom_table_csv(model: FreedomModel) -> str:
-    """CSV of n(A) for every menu, ascending bit pattern.
-
-    Each row is the menu's key and the cell ",n" (newline included) of
-    its score, looked up in a list of one cell per score value; keys and
-    cells interleave in one object array, joined once.
-    """
+    """CSV of n(A) for every menu, ascending bit pattern: the menu keys
+    interleaved with the cell ",n" (newline included) of each menu's
+    score, as the choice files are written (``core._TextTemplate``)."""
     scores = freedom_ranking(model).scores
-    keys = model.ground.menu_keys
-    cells = np.array([f",{v}\n" for v in range(int(scores.max()) + 1)], dtype=object)
-    rows = np.empty(2 * len(keys) - 2, dtype=object)
-    rows[0::2], rows[1::2] = keys[1:], cells[scores[1:]]
-    return "menu,n\n" + "".join(rows.tolist())
+    cells = [f",{v}\n" for v in range(int(scores.max()) + 1)]
+    template = _TextTemplate(model.ground.menu_keys, "menu,n\n", cells, cells)
+    return next(template.texts(scores[np.newaxis]))

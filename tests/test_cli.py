@@ -393,16 +393,6 @@ def test_non_integer_seed_env_var_fails_only_the_sweep(capsys, monkeypatch, dete
     assert run(capsys, "--seed", "0", "sweep", "media", "--samples", "5") == default
 
 
-def _run_or_exit(capsys, argv):
-    """``run``, with an argparse usage error's ``SystemExit`` as its exit code."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 def test_reused_parser_keeps_no_state_between_calls(capsys, monkeypatch, tsm1_file):
     """One parser serves every in-process call; each call's result equals the
     result of a parser built for that call alone."""
@@ -424,7 +414,7 @@ def test_reused_parser_keeps_no_state_between_calls(capsys, monkeypatch, tsm1_fi
                 monkeypatch.delenv("RSCHOICE_SEED", raising=False)
             else:
                 monkeypatch.setenv("RSCHOICE_SEED", seed)
-            results.append(_run_or_exit(capsys, argv))
+            results.append(run(capsys, *argv))
         return results
 
     reused = sequence()
@@ -436,7 +426,8 @@ def test_reused_parser_keeps_no_state_between_calls(capsys, monkeypatch, tsm1_fi
     capped, default, usage, coded, unseeded, seeded, count = reused
     iia = [v for v in json.loads(capped[1]) + json.loads(default[1]) if v["axiom"] == "IIA"]
     assert [(len(v["violations"]), v["truncated"]) for v in iia] == [(1, True), (10, False)]
-    assert usage[:2] == (2, "") and "usage: rschoice check-axioms" in usage[2]
+    _assert_one_coded_error(*usage, "invalid-arguments")
+    assert json.loads(usage[2])["message"].startswith("usage: rschoice check-axioms")
     _assert_one_coded_error(*coded, "invalid-range")
     assert unseeded[0] == seeded[0] == 0 and unseeded[1] != seeded[1]
     assert count == (0, '{"count": 24}\n', "")
@@ -471,6 +462,42 @@ def test_out_of_memory_is_a_coded_error(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, "freedom", str(path))
     _assert_one_coded_error(code, out, err, "out-of-memory")
     assert json.loads(err)["message"] == "rschoice freedom ran out of memory"
+
+
+@pytest.mark.parametrize("argv,usage,reason", [
+    (["check-axioms", "in.json", "--cap", "x"], "usage: rschoice check-axioms",
+     "rschoice check-axioms: error: argument --cap: invalid int value: 'x'"),
+    (["no-such-command"], "usage: rschoice [-h]", "rschoice: error: argument subcommand: invalid choice"),
+    (["welfare"], "usage: rschoice welfare", "rschoice welfare: error: the following arguments are required: input"),
+    ([], "usage: rschoice [-h]", "rschoice: error: the following arguments are required: subcommand"),
+])
+def test_usage_errors_are_one_coded_line(capsys, argv, usage, reason):
+    """A usage error returns 2 with argparse's usage text and reason in one
+    coded line, instead of raising ``SystemExit``."""
+    code, out, err = run(capsys, *argv)
+    _assert_one_coded_error(code, out, err, "invalid-arguments")
+    message = json.loads(err)["message"]
+    assert message.startswith(usage) and reason in message.splitlines()[-1]
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-axioms", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: rschoice check-axioms")
+
+
+def test_an_unforeseen_exception_is_a_coded_internal_error(capsys, monkeypatch, tsm1_file):
+    """A library bug exits 2 with one coded line, never 1 ("violations
+    found") with a traceback."""
+    def broken(args):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setitem(cli._COMMANDS, "check-axioms", broken)
+    code, out, err = run(capsys, "check-axioms", tsm1_file)
+    _assert_one_coded_error(code, out, err, "internal-error")
+    assert json.loads(err)["message"].startswith(f"RuntimeError: a bug ({__file__}:")
+    assert json.loads(err)["message"].endswith(" in broken)")
 
 
 def _must_not_run(*args, **kwargs):

@@ -245,6 +245,25 @@ def test_writers_match_json_dumps_and_csv_writer(labels, seed, limit):
                                          for t in tables)
 
 
+@pytest.mark.parametrize("options", [("x", "y"), tuple(f"o{i}" for i in range(9)),
+                                     ("a", 'q"t', "b\\s", "\u00e9")])
+def test_templates_hold_one_cell_per_option_and_share_the_key_table(options):
+    """The only 2^n table a template holds is its keys, and the json and
+    line forms share ``menu_keys`` unless a label needs JSON escaping."""
+    ground = GroundSet(options)
+    plain = all(json.dumps(label)[1:-1] == label for label in options)
+    for form in ("json", "line", "csv"):
+        template = ground.text_template(form)
+        assert ground.text_template(form) is template
+        assert len(template.cells) == len(template.last) == len(options)
+        assert isinstance(template.head, str) and len(template.keys) == 1 << len(options)
+        assert set(vars(template)) == {"keys", "head", "cells", "last"}
+        shared = form != "csv" and plain
+        assert (template.keys is ground.menu_keys) == shared
+        if form != "csv" and not plain:
+            assert list(template.keys) == [json.dumps(key)[1:-1] for key in ground.menu_keys]
+
+
 #: JSON leaves: NaN, infinities, -0.0, numpy floats, ints past 64 bits,
 #: and text with non-ASCII, control and escaped characters.
 JSON_LEAVES = (

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rschoice.core import GroundSet, LinearOrder, TypePartition, choice_from_order
 from rschoice.fixtures import (
@@ -22,6 +26,7 @@ from rschoice.normative import (
     freedom_model,
     freedom_model_from_choice,
     freedom_ranking,
+    freedom_table_csv,
     improving_from_structure,
     is_richer,
     masatlioglu_pr,
@@ -315,6 +320,21 @@ def test_monotonicity_corollary(rng):
             while sub:
                 assert ranking.prefers(menu, sub)
                 sub = (sub - 1) & menu
+
+
+@settings(max_examples=40, deadline=None)
+@given(labels=st.lists(st.text(st.sampled_from('ab"\\\u00e9\u2603'), min_size=1, max_size=3),
+                       min_size=2, max_size=7, unique=True),
+       seed=st.integers(0, 2**32))
+def test_freedom_table_csv_lists_each_menu_and_its_count(labels, seed):
+    """``freedom_table_csv`` against its definition, menu by menu, on labels
+    with quotes, backslashes and non-ASCII characters.  Keys are written
+    as they are, unquoted."""
+    ground = GroundSet(tuple(labels))
+    model = freedom_model(random_single_peaked_structure(random.Random(seed), ground))
+    rows = [f"{model.ground.menu_key(m)},{freedom_count(model, m)}\n"
+            for m in range(1, model.ground.full_mask + 1)]
+    assert freedom_table_csv(model) == "menu,n\n" + "".join(rows)
 
 
 def test_menu_preference_keeps_a_read_only_signed_copy():
