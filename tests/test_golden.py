@@ -114,6 +114,16 @@ def _cases() -> dict[str, list[str]]:
             "simulate-culture", "--beta", "2", "--g-hat", "2", "--v-hat", "2",
             "--lambda-r", "1.5", "--g", "3", "--q0", "0.3",
         ],
+        # beta within 1e-7 of 1: every interior stage power overflows a float.
+        "simulate-culture.beta-near-1": [
+            "simulate-culture", "--beta", "1.0000001", "--g-hat", "2", "--v-hat", "2.5",
+            "--lambda-r", "1.5", "--g", "4", "--q0", "0.3", "--horizon", "40",
+        ],
+        # The smallest subnormal share: the stage points sit below the inline range.
+        "simulate-culture.q0-subnormal": [
+            "simulate-culture", "--beta", "2", "--g-hat", "2", "--v-hat", "2.5",
+            "--lambda-r", "1.5", "--g", "1.2", "--q0", "5e-324", "--dt", "7", "--horizon", "280",
+        ],
         "sweep-media.invalid-mid-grid": [
             "sweep", "media", "--lambda-range", "0.6:0.8:3", "--p-range", "0.2:0.8:4",
         ],
