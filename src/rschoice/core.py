@@ -213,8 +213,13 @@ class GroundSet:
         if form in templates:
             return templates[form]
         if form == "csv":
+            # A key holding the separator (two or more members) is a field
+            # ``csv.writer`` always quotes: it doubles the quotes and keeps
+            # every other character as it is.
             cells = [f",{_csv_cell(label)}\n" for label in self.options]
-            keys, head, last = ("", *map(_csv_cell, self.menu_keys[1:])), "menu,choice\n", cells
+            keys = ("", *('"' + key.replace('"', '""') + '"' if MENU_KEY_SEPARATOR in key
+                          else _csv_cell(key) for key in self.menu_keys[1:]))
+            head, last = "menu,choice\n", cells
         else:
             start, between, choices, sep, colon, tail = _FILE_FORM if form == "json" else _LINE_FORM
             labels = list(map(encode_basestring_ascii, self.options))

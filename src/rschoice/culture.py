@@ -27,11 +27,13 @@ lattices above ``MAX_CONSISTENCY_GRID``, are rejected before any work.
 The loop writes the four RK4 stages out: a stage point inside ``(2**-52,
 1)`` evaluates both effort formulas inline, with the exponent and the
 budget corner computed once per run, so an interior step makes no Python
-call; a boundary point calls the slope closure ``_flow``, the one general
-path.  A stage whose point equals an earlier one reuses that slope, which
-skips 14.5 % of the evaluations on the benchmark's parameter draws.  A
-step costs 0.8-1.3 us, against 1.2-1.7 us with a closure call per stage
-(alternating fresh processes, Python 3.11, shared 2-core machine).
+call; a boundary point calls ``_slope``, which calls ``effort`` for each
+side, the one general copy of the formula.  A stage whose point equals an
+earlier one reuses that slope, which skips 14.5 % of the evaluations on
+the benchmark's parameter draws.  An inline power past the float range
+(``beta`` near 1) makes the step start again through ``_slope``.  A step
+costs 1.0-1.7 us (the default run, alternating fresh processes, Python
+3.11, shared 2-core machine).
 """
 
 from __future__ import annotations
@@ -60,8 +62,9 @@ class GridBudgetError(ChoiceModelError):
 
 #: Most RK4 steps one ``culture_dynamics`` run may take: 50 times the CLI
 #: default of 200 / 0.01.  A run that never reaches a fixed point uses them
-#: all in 0.85-0.88 s (1.3-1.5 s with a closure call per stage; same machine
-#: as the module docstring).
+#: all in 1.0-1.7 s at beta = 2, and in 3.3-5.6 s at beta = 1.0000001, where
+#: every step overflows and is done again through ``_slope`` (dt 1e-6,
+#: horizon 1; same machine as the module docstring).
 MAX_CULTURE_STEPS = 1_000_000
 #: Largest ``culture_rsc_consistency`` lattice.  Its cost is a few array
 #: passes per policy, linear in the grid: 0.02 s and 44 MB peak at 100 000,
@@ -171,65 +174,33 @@ def effort(beta: float, value: float, g: float, q: float) -> float:
     """Optimal effort: min of the budget corner and the interior solution.
 
     ``q`` is the probability the child picks up the trait anyway through
-    oblique transmission; at ``q = 1`` the interior branch vanishes.  An
-    interior branch beyond the float range (``beta`` near 1) lies above the
-    corner, so the corner is returned.  ``beta`` must exceed 1.
+    oblique transmission; at ``q = 1`` the interior branch vanishes.
+    ``beta`` must exceed 1 and ``g`` be at least 1, so the corner is at
+    most 1: an interior base ``(1 - q) / beta * value / g`` of 1 or more
+    (NaN included) gives the corner without the power, which therefore
+    never leaves the float range.
     """
     corner = (1.0 / g) ** (1.0 / beta)
-    power = 1.0 / (beta - 1.0)
     if q >= 1.0:
         return 0.0
-    try:
-        interior = ((1.0 - q) / beta * value / g) ** power
-    except OverflowError:
+    base = (1.0 - q) / beta * value / g
+    if not base < 1.0:
         return corner
-    # min(corner, interior) without the builtin call: the same pick, NaN included.
+    interior = base ** (1.0 / (beta - 1.0))
+    # min(corner, interior) without the builtin call.
     return interior if interior < corner else corner
 
 
-def _flow(beta: float, value: float, g: float, v_hat: float):
+def _slope(x: float, beta: float, value: float, g: float, v_hat: float) -> float:
     """The slope ``x (1 - x) (d_minority - d_majority)`` of the share flow
-    as one closure, built once per ``culture_dynamics`` run, which calls it
-    at the stage points outside the range it writes out inline.
-
-    The minority faces policy ``g`` with transmission value ``value`` and
-    the majority policy 1 with ``v_hat``.  The body spells out both
-    ``effort`` calls with the exponent and the minority's budget corner
-    computed here (the majority's corner is exactly 1), so ``slope(x)``
-    gives the same bits as clamping ``x`` to [0, 1] and calling
-    ``effort(beta, value, g, x)`` and ``effort(beta, v_hat, 1.0, 1.0 - x)``.
-    """
-    power = 1.0 / (beta - 1.0)
-    corner = (1.0 / g) ** (1.0 / beta)
-
-    def slope(x: float) -> float:
-        # min(max(x, 0.0), 1.0) by comparisons; -0.0 and NaN pass the same way.
-        if x < 0.0:
-            x = 0.0
-        elif x > 1.0:
-            x = 1.0
-        rest = 1.0 - x
-        if x >= 1.0:
-            d_minority = 0.0
-        else:
-            try:
-                interior = (rest / beta * value / g) ** power
-            except OverflowError:
-                interior = math.inf
-            d_minority = interior if interior < corner else corner
-        # The majority's share of oblique transmission is ``rest``; its
-        # effort formula divides by g = 1, which is exact and left out.
-        if rest >= 1.0:
-            d_majority = 0.0
-        else:
-            try:
-                interior = ((1.0 - rest) / beta * v_hat) ** power
-            except OverflowError:
-                interior = math.inf
-            d_majority = interior if interior < 1.0 else 1.0
-        return x * rest * (d_minority - d_majority)
-
-    return slope
+    at ``x`` clamped to [0, 1]; the minority faces policy ``g`` with
+    transmission value ``value``, the majority policy 1 with ``v_hat``."""
+    # min(max(x, 0.0), 1.0) by comparisons; -0.0 and NaN pass the same way.
+    if x < 0.0:
+        x = 0.0
+    elif x > 1.0:
+        x = 1.0
+    return x * (1.0 - x) * (effort(beta, value, g, x) - effort(beta, v_hat, 1.0, 1.0 - x))
 
 
 def culture_effort(params: CultureParams, q: float, policy_g: float, side: str) -> float:
@@ -311,22 +282,25 @@ def culture_dynamics(params: CultureParams, record_every: int = 1) -> CultureOut
     ``q``.  The result is bit-identical to running every step.
 
     The four stages are written out in the loop.  A stage point ``x`` with
-    ``2**-52 < x < 1`` runs both effort formulas of ``_flow`` inline, with
-    the same float expressions in the same order; there the clamp and both
-    zero-effort branches cannot fire, since ``x > 2**-54`` already gives
-    ``1 - x < 1``.  Any other point (a boundary share) calls the ``_flow``
-    slope.  The slope is a pure function of its float argument, so a stage
-    whose point repeats an earlier one takes that slope: ``k1`` is the last
-    step's ``k4`` when ``q`` is the last step's fourth point, and ``k3`` is
-    ``k2`` when the third point is the second.
+    ``2**-52 < x < 1`` runs both ``effort`` formulas of ``_slope`` inline,
+    with the same float expressions in the same order; there the clamp and
+    both zero-effort branches cannot fire, since ``x > 2**-54`` already
+    gives ``1 - x < 1``.  Any other point (a boundary share) calls
+    ``_slope``.  The slope is a pure function of its float argument, so a
+    stage whose point repeats an earlier one takes that slope: ``k1`` is the
+    last step's ``k4`` when ``q`` is the last step's fourth point, and
+    ``k3`` is ``k2`` when the third point is the second.  An inline power
+    past the float range (``beta`` near 1) raises ``OverflowError``; that
+    effort is its corner, which ``effort`` returns without the power, so
+    the step is done again through ``_slope`` at all four points, with no
+    reuse and the same bits.
     """
     if record_every < 1:
         raise InvalidParamsError("record_every must be a positive integer")
     beta, g = params.beta, params.g
     value_minority = transmission_value(g, params.g_hat, params.v_hat, params.lambda_r)
     v_hat = params.v_hat
-    slope = _flow(beta, value_minority, g, v_hat)
-    # The exponent and the minority's budget corner, as ``_flow`` computes them.
+    # The exponent and the minority's budget corner, as ``effort`` computes them.
     power, corner = 1.0 / (beta - 1.0), (1.0 / g) ** (1.0 / beta)
     # ``0.5 * dt * k1`` evaluates as ``(0.5 * dt) * k1``, so the step weights
     # give the same bits as the spelled-out step.
@@ -343,81 +317,66 @@ def culture_dynamics(params: CultureParams, record_every: int = 1) -> CultureOut
     step = 0
     for step in range(1, steps + 1):
         q_prev = q
-        if q == x4:
-            k1 = k4
-        elif 2**-52 < q < 1.0:
-            rest = 1.0 - q
-            try:
+        try:
+            if q == x4:
+                k1 = k4
+            elif 2**-52 < q < 1.0:
+                rest = 1.0 - q
                 d_minority = (rest / beta * value_minority / g) ** power
-            except OverflowError:
-                d_minority = math.inf
-            if not d_minority < corner:
-                d_minority = corner
-            try:
+                if not d_minority < corner:
+                    d_minority = corner
                 d_majority = ((1.0 - rest) / beta * v_hat) ** power
-            except OverflowError:
-                d_majority = math.inf
-            if not d_majority < 1.0:
-                d_majority = 1.0
-            k1 = q * rest * (d_minority - d_majority)
-        else:
-            k1 = slope(q)
-        x2 = q + half_dt * k1
-        if 2**-52 < x2 < 1.0:
-            rest = 1.0 - x2
-            try:
+                if not d_majority < 1.0:
+                    d_majority = 1.0
+                k1 = q * rest * (d_minority - d_majority)
+            else:
+                k1 = _slope(q, beta, value_minority, g, v_hat)
+            x2 = q + half_dt * k1
+            if 2**-52 < x2 < 1.0:
+                rest = 1.0 - x2
                 d_minority = (rest / beta * value_minority / g) ** power
-            except OverflowError:
-                d_minority = math.inf
-            if not d_minority < corner:
-                d_minority = corner
-            try:
+                if not d_minority < corner:
+                    d_minority = corner
                 d_majority = ((1.0 - rest) / beta * v_hat) ** power
-            except OverflowError:
-                d_majority = math.inf
-            if not d_majority < 1.0:
-                d_majority = 1.0
-            k2 = x2 * rest * (d_minority - d_majority)
-        else:
-            k2 = slope(x2)
-        x3 = q + half_dt * k2
-        if x3 == x2:
-            k3 = k2
-        elif 2**-52 < x3 < 1.0:
-            rest = 1.0 - x3
-            try:
+                if not d_majority < 1.0:
+                    d_majority = 1.0
+                k2 = x2 * rest * (d_minority - d_majority)
+            else:
+                k2 = _slope(x2, beta, value_minority, g, v_hat)
+            x3 = q + half_dt * k2
+            if x3 == x2:
+                k3 = k2
+            elif 2**-52 < x3 < 1.0:
+                rest = 1.0 - x3
                 d_minority = (rest / beta * value_minority / g) ** power
-            except OverflowError:
-                d_minority = math.inf
-            if not d_minority < corner:
-                d_minority = corner
-            try:
+                if not d_minority < corner:
+                    d_minority = corner
                 d_majority = ((1.0 - rest) / beta * v_hat) ** power
-            except OverflowError:
-                d_majority = math.inf
-            if not d_majority < 1.0:
-                d_majority = 1.0
-            k3 = x3 * rest * (d_minority - d_majority)
-        else:
-            k3 = slope(x3)
-        x4 = q + dt * k3
-        if 2**-52 < x4 < 1.0:
-            rest = 1.0 - x4
-            try:
+                if not d_majority < 1.0:
+                    d_majority = 1.0
+                k3 = x3 * rest * (d_minority - d_majority)
+            else:
+                k3 = _slope(x3, beta, value_minority, g, v_hat)
+            x4 = q + dt * k3
+            if 2**-52 < x4 < 1.0:
+                rest = 1.0 - x4
                 d_minority = (rest / beta * value_minority / g) ** power
-            except OverflowError:
-                d_minority = math.inf
-            if not d_minority < corner:
-                d_minority = corner
-            try:
+                if not d_minority < corner:
+                    d_minority = corner
                 d_majority = ((1.0 - rest) / beta * v_hat) ** power
-            except OverflowError:
-                d_majority = math.inf
-            if not d_majority < 1.0:
-                d_majority = 1.0
-            k4 = x4 * rest * (d_minority - d_majority)
-        else:
-            k4 = slope(x4)
+                if not d_majority < 1.0:
+                    d_majority = 1.0
+                k4 = x4 * rest * (d_minority - d_majority)
+            else:
+                k4 = _slope(x4, beta, value_minority, g, v_hat)
+        except OverflowError:
+            k1 = _slope(q, beta, value_minority, g, v_hat)
+            x2 = q + half_dt * k1
+            k2 = _slope(x2, beta, value_minority, g, v_hat)
+            x3 = q + half_dt * k2
+            k3 = _slope(x3, beta, value_minority, g, v_hat)
+            x4 = q + dt * k3
+            k4 = _slope(x4, beta, value_minority, g, v_hat)
         q = q + sixth_dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if q < 0.0:
             q = 0.0
@@ -544,7 +503,7 @@ def culture_rsc_consistency(
     the allocation square between the selections.
 
     ``g_values`` defaults to 10 evenly spaced policies from 1 to twice the
-    corner-crossing policy.
+    corner-crossing policy; every policy must be at least 1.
     """
     check_consistency_grid(grid_n)
     beta, ghat, vhat, lr = params.beta, params.g_hat, params.v_hat, params.lambda_r
@@ -554,6 +513,8 @@ def culture_rsc_consistency(
         g_values = tuple(float(g) for g in np.linspace(1.0, 2.0 * g_bar, 10))
     if not g_values:
         raise InvalidParamsError("g_values must be nonempty")
+    if not all(g >= 1.0 for g in g_values):
+        raise InvalidParamsError(f"every policy in g_values must be at least 1, got {g_values}")
 
     ds = np.linspace(0.0, 1.0, grid_n)
     cost = ds ** beta

@@ -220,7 +220,7 @@ def test_serialize_parse_round_trip_is_byte_stable(data):
 
 # Labels that JSON or CSV must escape, and % and { that a format string would read.
 LABELS = st.lists(
-    st.text(st.sampled_from('ab\u00e9\u2603"\\%{} \n\r'), min_size=1, max_size=3),
+    st.text(st.sampled_from('ab\u00e9\u2603"\\%{} \t\n\r'), min_size=1, max_size=3),
     min_size=2, max_size=4, unique=True,
 )
 

@@ -263,6 +263,10 @@ def test_consistency_pick_matches_full_lattice_menu_at_the_grid_budget():
 def test_consistency_grid_guard():
     with pytest.raises(InvalidParamsError):
         culture_rsc_consistency(CultureParams(**BASE), 5)
+    # effort takes policies of at least 1, as CultureParams does.
+    for g in (0.5, math.nan):
+        with pytest.raises(InvalidParamsError):
+            culture_rsc_consistency(CultureParams(**BASE), 200, (1.0, g))
 
 
 # --- culture_dynamics against every RK4 step ---------------------------------
@@ -340,29 +344,50 @@ def _first_repeat(trajectory):
     return next((k for k in range(1, len(qs)) if qs[k] == qs[k - 1]), len(qs) - 1)
 
 
-def _slope_plan(stage_points):
+def _inline_overflows(x, params):
+    """Whether the written-out stage at ``x`` raises ``OverflowError``: one
+    of its two interior powers leaves the float range."""
+    beta = params.beta
+    value = transmission_value(params.g, params.g_hat, params.v_hat, params.lambda_r)
+    power = 1.0 / (beta - 1.0)
+    rest = 1.0 - x
+    try:
+        (rest / beta * value / params.g) ** power
+        ((1.0 - rest) / beta * params.v_hat) ** power
+    except OverflowError:
+        return True
+    return False
+
+
+def _slope_plan(stage_points, params):
     """How ``culture_dynamics`` gets each stage's slope on the given steps.
 
     ``k1`` reuses the last step's ``k4`` when ``q`` is the last step's
     fourth point, and ``k3`` reuses ``k2`` when the third point is the
-    second; any other point runs inline in ``(2**-52, 1)`` and calls the
-    ``_flow`` slope outside it.  Returns the points the slope is called
-    at, in order, and the set of ways taken.
+    second; any other point runs inline in ``(2**-52, 1)`` and calls
+    ``_slope`` outside it.  When an inline stage overflows, the step calls
+    ``_slope`` at its four points after the boundary calls it made before.
+    Returns the points the slope is called at, in order, and the set of
+    ways taken.
     """
-    fallback, ways = [], set()
+    calls, ways = [], set()
     last_x4 = math.nan
     for q, x2, x3, x4 in stage_points:
         for x, reuse in ((q, "reuse k1" if q == last_x4 else None), (x2, None),
                          (x3, "reuse k3" if x3 == x2 else None), (x4, None)):
             if reuse:
                 ways.add(reuse)
-            elif 2**-52 < x < 1.0:
-                ways.add("inline")
+            elif not 2**-52 < x < 1.0:
+                ways.add("boundary")
+                calls.append(x)
+            elif _inline_overflows(x, params):
+                ways.add("overflow")
+                calls += [q, x2, x3, x4]
+                break
             else:
-                ways.add("fallback")
-                fallback.append(x)
+                ways.add("inline")
         last_x4 = x4
-    return fallback, ways
+    return calls, ways
 
 
 def _outcome_fields(out):
@@ -409,21 +434,17 @@ def test_dynamics_equal_the_full_loop_at_the_edges(monkeypatch):
     # steps of 1 to 100 (q hits the 0/1 clamp), q0 within 1e-12 of 0 and 1,
     # q0 on both sides of the inline range (2**-52, 1) down to the smallest
     # subnormal, and the policy below, at and above the reactance threshold.
-    # The _flow slope must be called at exactly the points outside that
-    # range that no reuse covers.
+    # _slope must be called at exactly the points outside that range that
+    # no reuse covers, and at all four points of a step whose written-out
+    # stages overflow.
     calls = []
-    real_flow = culture._flow
+    real_slope = culture._slope
 
-    def recording_flow(*args):
-        slope = real_flow(*args)
+    def recording_slope(x, *args):
+        calls.append(x)
+        return real_slope(x, *args)
 
-        def recording_slope(x):
-            calls.append(x)
-            return slope(x)
-
-        return recording_slope
-
-    monkeypatch.setattr(culture, "_flow", recording_flow)
+    monkeypatch.setattr(culture, "_slope", recording_slope)
     clamped = overflowed = 0
     ways = set()
     for beta in (1.0000001, 1.0000009, 1.7, 3.0):
@@ -441,30 +462,31 @@ def test_dynamics_equal_the_full_loop_at_the_edges(monkeypatch):
                     out = culture_dynamics(params, record_every=1)
                     assert _outcome_fields(out) == full
                     assert out.steps_taken == _first_repeat(full[0])
-                    fallback, taken = _slope_plan(stage_points[:out.steps_taken])
+                    planned, taken = _slope_plan(stage_points[:out.steps_taken], params)
                     # repr tells -0.0 from 0.0.
-                    assert repr(calls) == repr(fallback)
+                    assert repr(calls) == repr(planned)
                     ways |= taken
                     for record_every in (3, 100, steps, steps + 5):
                         out = culture_dynamics(params, record_every=record_every)
                         assert _outcome_fields(out) == reference_dynamics(params, record_every)
     assert clamped and overflowed
-    assert ways == {"inline", "fallback", "reuse k1", "reuse k3"}
+    assert ways == {"inline", "boundary", "overflow", "reuse k1", "reuse k3"}
 
 
 def test_effort_helper_equals_effort_pointwise():
-    # effort, the slope culture_dynamics builds once per run, and the
-    # one-expression formula agree on every branch of both efforts: a share
-    # of 1 or more (zero effort), the overflowing interior, the corner and
-    # the interior, with -0.0, NaN and shares outside [0, 1], which the
-    # slope clamps first.
+    # effort, the slope culture_dynamics calls off its written-out stages,
+    # and the one-expression formula agree on every branch of both efforts:
+    # a share of 1 or more (zero effort), the overflowing interior, the
+    # corner and the interior, with -0.0, NaN and shares outside [0, 1],
+    # which the slope clamps first.  beta 2, g 1, q 0 and the values around
+    # 2 give an interior base of exactly 1 and one float step either side.
     branches = set()
     for beta in (1.0000001, 1.0000009, 1.5, 2.0, 3.0):
         for g in (1.0, 1.5, 3.0, 100.0):
             corner = (1.0 / g) ** (1.0 / beta)
-            for value in (1.0, 2.0, 100.0, 1e6):
+            for value in (1.0, math.nextafter(2.0, -math.inf), 2.0, math.nextafter(2.0, math.inf),
+                          100.0, 1e6):
                 for v_hat in (1.0, 2.5, 1e6):
-                    slope = culture._flow(beta, value, g, v_hat)
                     for q in (-0.5, -0.0, 0.0, 1e-13, 0.3, 0.9, 1.0 - 1e-13, 1.0, 1.5,
                               math.nan):
                         minority = reference_effort(beta, value, g, q)
@@ -475,7 +497,7 @@ def test_effort_helper_equals_effort_pointwise():
                             - reference_effort(beta, v_hat, 1.0, 1.0 - x)
                         )
                         # repr tells -0.0 from 0.0 and reads every NaN alike.
-                        assert repr(slope(q)) == repr(expected)
+                        assert repr(culture._slope(q, beta, value, g, v_hat)) == repr(expected)
                         branches.add("zero" if x >= 1.0 else "corner" if minority == corner
                                      else "interior")
                         try:
