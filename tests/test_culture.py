@@ -474,10 +474,10 @@ def test_dynamics_equal_the_full_loop_at_the_edges(monkeypatch):
 
 
 def test_effort_helper_equals_effort_pointwise():
-    # effort, the slope culture_dynamics calls off its written-out stages,
-    # and the one-expression formula agree on every branch of both efforts:
-    # a share of 1 or more (zero effort), the overflowing interior, the
-    # corner and the interior, with -0.0, NaN and shares outside [0, 1],
+    # effort, the _slope that culture_dynamics calls off its written-out
+    # stages, and the one-expression formula agree on every branch of both
+    # efforts: a share of 1 or more (zero effort), the overflowing interior,
+    # the corner and the interior, with -0.0, NaN and shares outside [0, 1],
     # which the slope clamps first.  beta 2, g 1, q 0 and the values around
     # 2 give an interior base of exactly 1 and one float step either side.
     branches = set()
