@@ -52,18 +52,12 @@ cached per n and visits each triple once, testing its unchosen options
 against ``beats``.  None of them touches the rest of the table.
 ``choices``, the picks as a tuple of ints, is read by no module here.
 
-``parse_choice_function`` remembers its last parse in this process: given
-the same format and text equal to the last text (one comparison), it
-returns the same ``ChoiceFunction`` object, so the steps of one analysis
-(``rschoice`` subcommands run in one process on one file) parse it once.
-A function is immutable, its table a read-only array, so every caller may
-share it.  The memo keeps one input text and its function, nearly all of
-it the text, held after the parse: 0.13–0.28 MB at n = 12–13, 2.6 MB at
-n = 16, 49 MB at n = 20 and 212 MB at n = 22.  It is emptied before any
-other text is parsed, so it never adds to a parse's peak (433 MB at
-n = 20, 1.67 GB at n = 22, as without it), and a parse that raises leaves
-it empty.  Any bytes-like input is copied to ``bytes`` first, so the
-stored text cannot change.
+``parse_choice_function`` keeps no parse: equal texts give equal, distinct
+functions.  The steps of one analysis share one parse through the CLI
+(``cli._load_choice``).  A function is immutable, its table a read-only
+array, so every caller may share it and what is cached on it: ``beats``,
+and ``revealed.reveal``'s report.  A function pickles and copies as its
+ground and table, and its caches are built again on use.
 
 Every indented JSON report (axiom verdicts, reveal, synthesis, welfare,
 structure files, media and culture outcomes) is written by
@@ -442,6 +436,12 @@ class ChoiceFunction:
                     rows[y] |= 1 << x
         return tuple(rows)
 
+    def __reduce__(self):
+        # Only the ground and the table: the constructor checks the table
+        # again and makes it read-only, and the caches (one holds a
+        # read-only mapping, which cannot be pickled) are rebuilt on use.
+        return ChoiceFunction, (self.ground, self.table)
+
     def __eq__(self, other):
         if not isinstance(other, ChoiceFunction):
             return NotImplemented
@@ -599,38 +599,14 @@ def _function_from_entries(ground: GroundSet, menus: list, picks: list) -> Choic
     return ChoiceFunction(ground, table)
 
 
-#: ``(format, text, function)`` of the last successful parse, or
-#: ``_NO_PARSE`` while a new text is parsed and after that parse raised.
-_NO_PARSE: tuple = (None, None, None)
-_last_parse: tuple = _NO_PARSE
-
-
 def parse_choice_function(text: bytes | str, format: str = "json") -> ChoiceFunction:
     """Parse and validate a choice function from JSON or CSV bytes.
 
     A JSON file that rschoice wrote is read against the writer's template
     (``_read_canonical``); any other text goes through ``json.loads``.
-    Any bytes-like ``text`` is read as ``bytes``.  Given the same format
-    and equal text as the last parse in this process, if that one
-    succeeded, it returns that parse's function, the same object.
+    Any bytes-like ``text`` is read as ``bytes``.
     """
-    global _last_parse
     text = _text_or_bytes(text)
-    last_format, last_text, last_cf = _last_parse
-    # str never equals bytes; testing the type first keeps ``python -bb``
-    # from raising BytesWarning when a str parse follows a bytes one.
-    if format == last_format and type(text) is type(last_text) and text == last_text:
-        return last_cf
-    # Forget the last text and function before parsing another, so that
-    # they never add to this parse's peak.
-    del last_text, last_cf
-    _last_parse = _NO_PARSE
-    cf = _parse_choice_function(text, format)
-    _last_parse = (format, text, cf)
-    return cf
-
-
-def _parse_choice_function(text: bytes | str, format: str) -> ChoiceFunction:
     if format == "json":
         cf = _read_canonical(text)
         if cf is not None:

@@ -19,13 +19,11 @@ of the reversals at a time: ``reaction_crosscheck`` builds the options
 switched to, ``normative.masatlioglu_pr`` those switched from.  ``converse``
 transposes adjacency rows, for ``similarity_classes`` among others.
 
-``reveal`` remembers the last function object it was given and its report,
-and returns that report when given the same object again; with
-``core.parse_choice_function``'s memo, the steps of one analysis reveal
-once.  The report is shared and immutable: its relations are frozen and
-its ``witness`` map is a read-only ``MappingProxyType``.  The memo keeps
-one function and its report, 7–11 KB at n = 12–13; above that the
-function's 2^n-byte table is most of it (4 MB at n = 22).
+``reveal`` keeps its report on the function, as ``ChoiceFunction.beats``
+keeps the pair rows, so the steps of one analysis reveal once, and
+``reaction_crosscheck`` reads the triple relation there.  The report is
+shared and immutable: its relations are frozen and its ``witness`` map is
+a read-only ``MappingProxyType``.  It is 7–11 KB at n = 12–13.
 """
 
 from __future__ import annotations
@@ -206,22 +204,18 @@ def _switch_rows(cf: ChoiceFunction, after: bool) -> tuple[int, ...]:
     return tuple(rows.tolist())
 
 
-def reaction_crosscheck(
-    cf: ChoiceFunction, report: RevealedReport | None = None
-) -> dict[str, list[tuple[str, str]]]:
+def reaction_crosscheck(cf: ChoiceFunction) -> dict[str, list[tuple[str, str]]]:
     """Discrepancies between the triple-based and arbitrary-menu reaction.
 
     Under the arbitrary-menu definition x reacts to the absence of y iff
     some menu A satisfies ``x = c(A \\ {y}) != c(A) != y``: the ``after``
     rows of ``single_deletion_switches``, 2^n menus instead of the C(n, 3)
-    triples.  The triple-based relation is ``report.reaction`` when a
-    report of ``cf`` is given, else it is revealed here.  Returns pairs
-    present only under one definition; both lists empty means the two
-    definitions coincide on this function.
+    triples.  The triple-based relation is ``reveal(cf).reaction``.
+    Returns pairs present only under one definition; both lists empty
+    means the two definitions coincide on this function.
     """
-    triple = report.reaction if report is not None else reveal_reaction(cf)[0]
     menus = BinaryRelation(cf.ground, _switch_rows(cf, after=True), strict=True)
-    triple_pairs, menu_pairs = set(triple.pairs()), set(menus.pairs())
+    triple_pairs, menu_pairs = set(reveal(cf).reaction.pairs()), set(menus.pairs())
     return {
         "only_in_triple_scan": sorted(triple_pairs - menu_pairs),
         "only_in_menu_scan": sorted(menu_pairs - triple_pairs),
@@ -253,29 +247,19 @@ def similarity_classes(reaction: BinaryRelation) -> TypePartition:
     return TypePartition.from_masks(ground, masks)
 
 
-#: ``(cf, report)`` of the last ``reveal`` call, at first ``_NO_REVEAL``,
-#: whose placeholder is no function.  Holding ``cf`` keeps its ``id`` from
-#: being reused, so an ``is`` test identifies it.
-_NO_REVEAL: tuple = (object(), None)
-_last_reveal: tuple = _NO_REVEAL
-
-
 def reveal(cf: ChoiceFunction) -> RevealedReport:
     """Full revealed-relations report for a choice function.
 
-    Called again with the same function object, as the steps of one
-    analysis are, it returns the same report.
+    The report is built once per function object and kept on it, so every
+    later call with that object returns the same report.
     """
-    global _last_reveal
-    last_cf, last_report = _last_reveal
-    if cf is last_cf:
-        return last_report
-    reaction, witness = reveal_reaction(cf)
-    report = RevealedReport(
-        strict_pref=reveal_binary(cf),
-        reaction=reaction,
-        similarity_classes=similarity_classes(reaction),
-        witness=MappingProxyType(witness),
-    )
-    _last_reveal = (cf, report)
-    return report
+    cached = vars(cf)
+    if "_revealed" not in cached:
+        reaction, witness = reveal_reaction(cf)
+        cached["_revealed"] = RevealedReport(
+            strict_pref=reveal_binary(cf),
+            reaction=reaction,
+            similarity_classes=similarity_classes(reaction),
+            witness=MappingProxyType(witness),
+        )
+    return cached["_revealed"]

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from rschoice import core, revealed
+from rschoice import cli
 from rschoice.core import ChoiceFunction, GroundSet, LinearOrder, choice_from_order
 from rschoice.generators import random_choice_function, random_order, random_single_peaked_structure
 from rschoice.structure import RSStructure, evaluate
@@ -83,12 +83,11 @@ def rng():
 
 @pytest.fixture(autouse=True)
 def forget_memos(monkeypatch):
-    """Empty the memos of ``parse_choice_function`` and ``reveal`` before
-    each test, so that no test is handed a function or report that another
-    test left; a test calls the returned function to empty them again, so
-    that its next run parses and reveals its input anew."""
+    """Empty the CLI's memo of the last choice file it parsed before each
+    test, so that no test is handed a function that another test left; a
+    test calls the returned function to empty it again, so that its next
+    ``cli.main`` run parses and reveals its input anew."""
     def forget():
-        monkeypatch.setattr(core, "_last_parse", core._NO_PARSE)
-        monkeypatch.setattr(revealed, "_last_reveal", revealed._NO_REVEAL)
+        monkeypatch.setattr(cli, "_last_choice", ())
     forget()
     return forget

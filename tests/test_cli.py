@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,76 @@ def test_reveal_cross_check_reveals_reactions_once(capsys, monkeypatch, forget_m
     # Without forgetting, the same parsed function reuses its report.
     code, _, _ = run(capsys, "reveal", noisy10, "--cross-check")
     assert code == 0 and len(calls) == 2
+
+
+def _counted_parses(monkeypatch) -> list[bytes]:
+    """The texts ``cli.main`` hands to the parser, in order."""
+    texts, parse = [], cli.parse_choice_function
+    monkeypatch.setattr(cli, "parse_choice_function", lambda text, fmt: texts.append(text) or parse(text, fmt))
+    return texts
+
+
+def test_the_steps_of_one_analysis_parse_and_reveal_their_file_once(capsys, monkeypatch, detergent_file):
+    parses = _counted_parses(monkeypatch)
+    scans, scan = [], revealed.reveal_reaction
+    monkeypatch.setattr(revealed, "reveal_reaction", lambda cf: scans.append(cf) or scan(cf))
+    steps = (["check-axioms"], ["reveal", "--cross-check"], ["synthesize"], ["welfare"])
+    codes = [run(capsys, cmd, detergent_file, *extra)[0] for cmd, *extra in steps]
+    assert codes == [0, 0, 0, 0]
+    assert len(parses) == 1 and len(scans) == 1
+
+
+def test_another_file_or_format_is_parsed_again(capsys, monkeypatch, detergent_file, tsm1_file, tmp_path):
+    """Files in turn are each parsed; a file given with the other format is
+    parsed as that format, here failing on every call instead of returning
+    the function stored for its own format."""
+    parses = _counted_parses(monkeypatch)
+    outs = [run(capsys, "reveal", path) for path in (detergent_file, tsm1_file, detergent_file)]
+    assert outs[0] == outs[2] != outs[1] and len(parses) == 3
+    for _ in range(2):
+        _assert_one_coded_error(*run(capsys, "reveal", detergent_file, "--format", "csv"), "malformed-key")
+    assert len(parses) == 5
+    assert run(capsys, "reveal", detergent_file) == outs[0] and len(parses) == 6
+    csv_file = tmp_path / "detergent.csv"
+    csv_file.write_text(serialize_choice_function(detergent_choice(), "csv"))
+    assert run(capsys, "reveal", str(csv_file), "--format", "csv") == outs[0] and len(parses) == 7
+
+
+def test_a_failing_file_fails_every_time_and_stores_nothing(capsys, monkeypatch, detergent_file, tmp_path):
+    """A failing parse leaves the memo empty: the good file parsed before it
+    is parsed again, and then kept."""
+    parses = _counted_parses(monkeypatch)
+    first = run(capsys, "reveal", detergent_file)
+    bad = tmp_path / "bad.json"
+    bad.write_text(Path(detergent_file).read_text().replace('"x,y": "y"', '"x,y": "z"'))
+    messages = set()
+    for _ in range(3):
+        code, out, err = run(capsys, "reveal", str(bad))
+        _assert_one_coded_error(code, out, err, "choice-outside-menu")
+        messages.add(json.loads(err)["message"])
+    assert messages == {"choice 'z' is outside menu 'x,y'"}
+    assert cli._last_choice == () and len(parses) == 4
+    for _ in range(2):
+        assert run(capsys, "reveal", detergent_file) == first
+    assert len(parses) == 5
+
+
+def test_the_last_file_is_let_go_before_another_is_parsed(capsys, monkeypatch, detergent_file, tsm1_file):
+    """While a new file is parsed, neither the memo nor the CLI holds the
+    last text, so the memo adds no text to a parse's peak memory."""
+    run(capsys, "reveal", detergent_file)
+    old = cli._last_choice[1]
+    held = sys.getrefcount(old)  # counts the memo's reference
+    during, parse = [], cli.parse_choice_function
+
+    def watched(text, fmt):
+        during.append((cli._last_choice, sys.getrefcount(old)))
+        return parse(text, fmt)
+
+    monkeypatch.setattr(cli, "parse_choice_function", watched)
+    run(capsys, "reveal", tsm1_file)
+    assert during == [((), held - 1)]
+    assert cli._last_choice[:2] == ("json", Path(tsm1_file).read_bytes())
 
 
 def test_welfare_subcommand(capsys, detergent_file):

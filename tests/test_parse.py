@@ -7,16 +7,19 @@ return the same table over the same ground set, or raise the same error
 class with the same message.  Choice-function parses with the same options
 share one cached ``GroundSet``; later tests pin that reuse, the cache's
 bound, and that structure parses stay out of the cache.  The last tests pin
-the one-entry memos of ``parse_choice_function`` and ``reveal``, and that
-both parsers read any bytes-like input as ``bytes``.
+that equal texts parse to equal, distinct functions, that ``reveal`` keeps
+one report per function object, that a revealed function pickles and
+copies, and that both parsers read any bytes-like input as ``bytes``.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -24,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from rschoice import core
+from rschoice import core, revealed
 from rschoice.core import (
     MENU_KEY_SEPARATOR,
     PARSED_GROUND_CACHE_SIZE,
@@ -270,7 +273,7 @@ def test_parser_matches_reference_on_malformed_documents(fmt, text):
     _assert_same(text, fmt)
 
 
-def test_json_parses_build_no_decoder(monkeypatch, forget_memos):
+def test_json_parses_build_no_decoder(monkeypatch):
     # json.loads given a hook builds a JSONDecoder per call; the parsers
     # reuse theirs, with the same results and messages.
     text = '{"options": ["x", "y"], "choices": {"x": "x", "y": "y", "x,y": "x"}}'
@@ -280,7 +283,6 @@ def test_json_parses_build_no_decoder(monkeypatch, forget_memos):
         raise AssertionError("a JSONDecoder was built during a parse")
 
     monkeypatch.setattr(json.JSONDecoder, "__init__", no_decoder)
-    forget_memos()
     assert _outcome(parse_choice_function, text, "json") == expected
     assert _outcome(parse_choice_function, "\ufeff" + text, "json")[0] is MalformedKeyError
     with pytest.raises(MalformedKeyError, match="Unexpected UTF-8 BOM"):
@@ -364,12 +366,11 @@ def _parse_random(rng: random.Random, size: int, fmt: str = "json") -> ChoiceFun
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_parses_with_the_same_options_share_one_ground_set(fmt, forget_memos):
+def test_parses_with_the_same_options_share_one_ground_set(fmt):
     rng = random.Random(23)
     cf = random_choice_function(rng, ground_of_size(5))
     text = serialize_choice_function(cf, fmt)
     first = parse_choice_function(text, fmt)
-    forget_memos()
     second = parse_choice_function(text, fmt)
     assert first == second == cf and first is not second
     assert first.ground is second.ground
@@ -471,12 +472,13 @@ def test_structure_parse_does_not_evict_a_choice_file_ground():
     assert again.ground is first.ground
 
 
-def test_equal_text_returns_the_last_parsed_function():
-    rng = random.Random(37)
-    text = serialize_choice_function(random_choice_function(rng, ground_of_size(5))).encode()
+def test_equal_texts_parse_to_equal_distinct_functions():
+    """The library keeps no parse: each call builds its own function."""
+    text = serialize_choice_function(random_choice_function(random.Random(37), ground_of_size(5))).encode()
     first = parse_choice_function(text)
-    assert parse_choice_function(bytes(bytearray(text))) is first
-    assert parse_choice_function(text.decode()) == first
+    for again in (text, bytes(bytearray(text)), text.decode()):
+        second = parse_choice_function(again)
+        assert second == first and second is not first
 
 
 def test_str_and_bytes_parses_in_turn_compare_no_str_with_bytes():
@@ -488,62 +490,6 @@ def test_str_and_bytes_parses_in_turn_compare_no_str_with_bytes():
     src = str(Path(core.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     subprocess.run([sys.executable, "-bb", "-c", code, str(fixture)], env=env, check=True, timeout=60)
-
-
-@pytest.mark.parametrize("fmt, other", [("json", "csv"), ("csv", "json")])
-def test_the_other_format_parses_or_fails_on_its_own(fmt, other):
-    """A text given with the other format is parsed as that format: here it
-    fails on every call instead of returning the function stored for its
-    own format."""
-    cf = random_choice_function(random.Random(41), ground_of_size(4))
-    text = serialize_choice_function(cf, fmt)
-    first = parse_choice_function(text, fmt)
-    assert parse_choice_function(text, fmt) is first
-    for _ in range(2):
-        with pytest.raises(MalformedKeyError):
-            parse_choice_function(text, other)
-    assert parse_choice_function(text, fmt) == first
-    assert parse_choice_function(serialize_choice_function(cf, other), other) == first
-
-
-def test_a_failing_text_raises_every_time_and_stores_nothing():
-    """A failing parse leaves the memo empty: the good text parsed before it
-    is parsed again, to an equal function."""
-    text = serialize_choice_function(random_choice_function(random.Random(43), ground_of_size(4)))
-    first = parse_choice_function(text)
-    bad = text.replace('"o0,o1": "o0"', '"o0,o1": "o2"').replace('"o0,o1": "o1"', '"o0,o1": "o2"')
-    assert bad != text
-    messages = set()
-    for _ in range(3):
-        with pytest.raises(ChoiceOutsideMenuError) as exc:
-            parse_choice_function(bad)
-        messages.add(str(exc.value))
-    assert messages == {"choice 'o2' is outside menu 'o0,o1'"}
-    assert core._last_parse == core._NO_PARSE
-    again = parse_choice_function(text)
-    assert again == first and again is not first
-    assert parse_choice_function(text) is again
-
-
-def test_another_text_is_parsed_with_the_last_one_let_go(monkeypatch):
-    """While a new text is parsed, neither the memo nor the parse call holds
-    the last text, so the memo adds no text to a parse's peak memory."""
-    rng = random.Random(67)
-    old, new = (serialize_choice_function(random_choice_function(rng, ground_of_size(5))).encode()
-                for _ in range(2))
-    parse_choice_function(old)
-    held = sys.getrefcount(old)  # counts the memo's reference
-    during = []
-    parse = core._parse_choice_function
-
-    def watched(text, fmt):
-        during.append((core._last_parse, sys.getrefcount(old)))
-        return parse(text, fmt)
-
-    monkeypatch.setattr(core, "_parse_choice_function", watched)
-    cf = parse_choice_function(new)
-    assert during == [(core._NO_PARSE, held - 1)]
-    assert core._last_parse == ("json", new, cf)
 
 
 @pytest.mark.parametrize("wrap", [lambda buffer: buffer, memoryview], ids=["bytearray", "memoryview"])
@@ -569,6 +515,24 @@ def test_reveal_returns_one_report_per_function_object():
     fresh = reveal(copy)
     assert fresh is not report and fresh == report
     assert reveal(copy) is fresh
+
+
+def test_a_revealed_function_pickles_and_copies_to_an_equal_function(monkeypatch):
+    """A function goes as its ground and table: the copy's table is checked
+    and read-only again, and its ``beats`` and report are built anew."""
+    path = Path(__file__).resolve().parent / "golden" / "noisy10.json"
+    cf = parse_choice_function(path.read_bytes())
+    report, beats = reveal(cf), cf.beats
+    assert report.reaction.rows
+    scans, scan = [], revealed.reveal_reaction
+    monkeypatch.setattr(revealed, "reveal_reaction", lambda cf: scans.append(cf) or scan(cf))
+    for copied in (pickle.loads(pickle.dumps(cf)), copy.deepcopy(cf), copy.copy(cf)):
+        assert copied == cf and copied is not cf
+        assert not copied.table.flags.writeable
+        assert "beats" not in vars(copied) and copied.beats == beats
+        fresh = reveal(copied)
+        assert fresh == report and fresh is not report and scans[-1] is copied
+    assert len(scans) == 3
 
 
 def test_a_shared_report_refuses_writes_to_its_witnesses():

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from rschoice import revealed
 from rschoice.core import (
     GroundSet,
     LinearOrder,
@@ -23,6 +24,7 @@ from rschoice.revealed import (
     reveal_binary,
     reveal_reaction,
     similarity_classes,
+    single_deletion_switches,
 )
 from rschoice.structure import evaluate
 
@@ -135,10 +137,23 @@ GOLDEN_INPUTS = [
 
 
 @pytest.mark.parametrize("name", GOLDEN_INPUTS)
-def test_crosscheck_with_a_report_equals_crosscheck_without(name):
+def test_crosscheck_reads_the_reaction_reveal_keeps(name, monkeypatch):
+    """Both sides of the cross-check, from the triple scan and the single
+    deletions; once ``reveal`` has run, no second triple scan."""
     path = Path(__file__).resolve().parent.parent / name
     cf = parse_choice_function(path.read_bytes(), path.suffix[1:])
-    assert reaction_crosscheck(cf, reveal(cf)) == reaction_crosscheck(cf)
+    triple = set(reveal_reaction(cf)[0].pairs())
+    menus = set(BinaryRelation(cf.ground, single_deletion_switches(cf)[1]).pairs())
+    reveal(cf)
+
+    def no_scan(cf):
+        raise AssertionError("the reactions were scanned again")
+
+    monkeypatch.setattr(revealed, "reveal_reaction", no_scan)
+    assert reaction_crosscheck(cf) == {
+        "only_in_triple_scan": sorted(triple - menus),
+        "only_in_menu_scan": sorted(menus - triple),
+    }
 
 
 def test_report_serializes():
